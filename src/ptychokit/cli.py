@@ -221,22 +221,31 @@ def _sweep_values(args) -> list[float]:
 def cmd_sweep(cfg: dict, dataset_path, out_dir, param: str, values: list[float], workers: int) -> int:
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
+    run_names: dict[str, float] = {}
+    for value in values:
+        name = f"{param}_{value:g}"
+        if name in run_names:
+            raise ConfigError(
+                f"sweep values {run_names[name]!r} and {float(value)!r} would both "
+                f"write run directory {name}/"
+            )
+        run_names[name] = float(value)
     settings = _solver_settings(cfg)
     dataset = sim.load_dataset(dataset_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
+    for name, value in run_names.items():
         run = dict(settings)
-        run[param] = float(value)
+        run[param] = value
         t0 = time.perf_counter()
         recon, trace = _run_solver(run, dataset, workers)
         wall = time.perf_counter() - t0
-        run_dir = out / f"{param}_{value:g}"
+        run_dir = out / name
         run_dir.mkdir(exist_ok=True)
         write_cfld(run_dir / "recon.cfld", recon)
         write_trace_csv(run_dir / "trace.csv", trace)
-        rows.append((float(value), trace[-1][1], wall))
+        rows.append((value, trace[-1][1], wall))
         print(f"{param}={value:g}: final NRMSE {trace[-1][1]:.6e} ({wall:.2f}s)")
     with open(out / "sweep.csv", "w") as fh:
         fh.write("value,final_nrmse,seconds\n")

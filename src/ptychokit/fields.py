@@ -31,21 +31,32 @@ class NumericalFailure(RuntimeError):
         self.iteration = iteration
 
 
-def fft2_orthonormal(f: np.ndarray, workers: int = 1) -> np.ndarray:
+def fft2_orthonormal(
+    f: np.ndarray, workers: int = 1, overwrite_x: bool = False
+) -> np.ndarray:
     """Unitary 2D DFT over the last two axes.
 
     :param f: 2D field or stack of fields (transform applied per leading index).
     :param workers: thread count handed to the FFT backend; results are
         bit-identical for any value because each slice is transformed
         independently.
+    :param overwrite_x: let the backend reuse ``f``'s memory; a complex128
+        input is then transformed in place (the result is a view of ``f``)
+        with the same bits as the out-of-place transform.
     :return: transformed complex128 array of the same shape.
     """
-    return scipy.fft.fft2(f, norm="ortho", axes=(-2, -1), workers=workers)
+    return scipy.fft.fft2(
+        f, norm="ortho", axes=(-2, -1), workers=workers, overwrite_x=overwrite_x
+    )
 
 
-def ifft2_orthonormal(f: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Inverse of :func:`fft2_orthonormal`; same unitarity contract."""
-    return scipy.fft.ifft2(f, norm="ortho", axes=(-2, -1), workers=workers)
+def ifft2_orthonormal(
+    f: np.ndarray, workers: int = 1, overwrite_x: bool = False
+) -> np.ndarray:
+    """Inverse of :func:`fft2_orthonormal`; same unitarity and in-place contract."""
+    return scipy.fft.ifft2(
+        f, norm="ortho", axes=(-2, -1), workers=workers, overwrite_x=overwrite_x
+    )
 
 
 @dataclass(frozen=True)
@@ -105,25 +116,39 @@ def accumulate_patch(
     return target
 
 
-def extract_stack(image: np.ndarray, grid: ScanGrid) -> np.ndarray:
-    """Extract all J patches as a (J, N_p, N_p) stack."""
+def extract_stack(
+    image: np.ndarray, grid: ScanGrid, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Extract all J patches as a (J, N_p, N_p) stack, into ``out`` if given."""
     n = grid.patch_size
-    out = np.empty((len(grid), n, n), dtype=np.complex128)
+    if out is None:
+        out = np.empty((len(grid), n, n), dtype=np.complex128)
     for j, (r, c) in enumerate(grid.offsets):
         out[j] = image[r : r + n, c : c + n]
     return out
 
 
-def accumulate_stack(stack: np.ndarray, grid: ScanGrid) -> np.ndarray:
+def accumulate_stack(
+    stack: np.ndarray,
+    grid: ScanGrid,
+    weight: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Scatter-add a (J, N_p, N_p) stack into a zero image.
 
-    The sum runs in fixed index order so the result is bit-identical
-    regardless of how the caller parallelized the per-patch work.
+    With ``weight`` (an (N_p, N_p) array) each patch is multiplied by it,
+    as ``weight * stack[j]``, on its way into the image, so no weighted
+    copy of the stack is made. ``out`` (complex128 by default) is zeroed
+    and receives the sum. The sum runs in fixed index order so the result
+    is bit-identical regardless of how the caller parallelized the
+    per-patch work.
     """
-    out = np.zeros(grid.image_shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(grid.image_shape, dtype=np.complex128)
+    out.fill(0)
     n = grid.patch_size
     for j, (r, c) in enumerate(grid.offsets):
-        out[r : r + n, c : c + n] += stack[j]
+        out[r : r + n, c : c + n] += stack[j] if weight is None else weight * stack[j]
     return out
 
 
@@ -158,23 +183,23 @@ def build_coverage(probe: np.ndarray, grid: ScanGrid, kappa: float) -> CoverageM
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     wk = amplitude_power(probe, kappa)
-    weights = np.zeros(grid.image_shape, dtype=np.float64)
-    n = grid.patch_size
-    for r, c in grid.offsets:
-        weights[r : r + n, c : c + n] += wk
+    weights = np.empty(grid.image_shape, dtype=np.float64)
+    accumulate_stack(np.broadcast_to(wk, (len(grid), *wk.shape)), grid, out=weights)
     return CoverageMap(weights=weights, covered_mask=weights > 0, kappa=kappa)
 
 
 def divide_where_covered(
-    image: np.ndarray, coverage: CoverageMap
+    image: np.ndarray, coverage: CoverageMap, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Pixelwise image / weights on the covered region, 0 elsewhere."""
-    return np.divide(
-        image,
-        coverage.weights,
-        out=np.zeros_like(image),
-        where=coverage.covered_mask,
-    )
+    """Pixelwise image / weights on the covered region, 0 elsewhere.
+
+    ``out`` may be ``image`` itself.
+    """
+    if out is None:
+        out = np.empty_like(image)
+    np.divide(image, coverage.weights, out=out, where=coverage.covered_mask)
+    out[~coverage.covered_mask] = 0
+    return out
 
 
 def write_cfld(path, arr: np.ndarray) -> None:

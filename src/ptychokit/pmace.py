@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import (
@@ -69,11 +68,17 @@ class PmaceParams:
             raise ValueError("eval_every must be at least 1")
 
 
-def phase_factor(z: np.ndarray) -> np.ndarray:
-    """Pointwise z/|z| with the convention phase(0) = 0."""
+def phase_factor(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise z/|z| with the convention phase(0) = 0.
+
+    ``out`` may be ``z`` itself.
+    """
+    if out is None:
+        out = np.empty_like(z)
     az = np.abs(z)
-    out = np.zeros_like(z)
-    np.divide(z, az, out=out, where=az > 0)
+    nonzero = az > 0
+    np.divide(z, az, out=out, where=nonzero)
+    out[~nonzero] = 0
     return out
 
 
@@ -88,26 +93,56 @@ def regularized_reciprocal(probe: np.ndarray) -> np.ndarray:
     return np.conj(probe) / (a**2 + eps**2)
 
 
+def p_a(
+    frames: np.ndarray,
+    y: np.ndarray,
+    workers: int = 1,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fourier-magnitude projection: F*(y phase(F s)) per frame.
+
+    The transforms run in place in ``out``, which may be ``frames`` itself.
+    """
+    if out is None:
+        out = np.empty(frames.shape, dtype=np.complex128)
+    np.copyto(out, frames)
+    f = fft2_orthonormal(out, workers=workers, overwrite_x=True)
+    phase_factor(f, out=f)
+    np.multiply(y, f, out=f)
+    f = ifft2_orthonormal(f, workers=workers, overwrite_x=True)
+    # An in-place transform already left the result in out; its array
+    # differs from out only by a dtype instance, which np.copyto copies.
+    if not np.may_share_memory(f, out):
+        np.copyto(out, f)
+    return out
+
+
 def agent_update(
     x: np.ndarray,
     y: np.ndarray,
     probe: np.ndarray,
     alpha: float,
     workers: int = 1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Probe-weighted proximal agent applied to a patch or patch stack.
 
     Interpolates between the input and the data-fitting point
-    D^reginv F*(y phase(F D x)) with weights alpha/(1+alpha) and
-    1/(1+alpha).
+    D^reginv p_a(D x, y) with weights alpha/(1+alpha) and 1/(1+alpha).
+    The Fourier-side work runs in place in ``out``.
 
     :param x: (N_p, N_p) patch or (J, N_p, N_p) stack.
     :param y: measured amplitudes with matching shape.
+    :param out: complex128 array of x's shape for the result; must not
+        share memory with x.
     """
-    dinv = regularized_reciprocal(probe)
-    fx = fft2_orthonormal(probe * x, workers=workers)
-    fit = dinv * ifft2_orthonormal(y * phase_factor(fx), workers=workers)
-    return (alpha * x + fit) / (1 + alpha)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.complex128)
+    np.multiply(probe, x, out=out)
+    p_a(out, y, workers=workers, out=out)
+    np.multiply(regularized_reciprocal(probe), out, out=out)
+    np.add(alpha * x, out, out=out)
+    return np.divide(out, 1 + alpha, out=out)
 
 
 def stitch_weighted(
@@ -115,14 +150,17 @@ def stitch_weighted(
     probe: np.ndarray,
     coverage: CoverageMap,
     grid: ScanGrid,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """|d|^kappa-weighted back-projection normalized on the covered region.
 
     Uncovered pixels are 0; the exponent is taken from the coverage map.
+
+    :param out: complex128 image to write the result into.
     """
-    wk = amplitude_power(probe, coverage.kappa)
-    image = accumulate_stack(wk[None, :, :] * stack, grid)
-    return divide_where_covered(image, coverage)
+    weight = amplitude_power(probe, coverage.kappa)
+    image = accumulate_stack(stack, grid, weight=weight, out=out)
+    return divide_where_covered(image, coverage, out=image)
 
 
 def consensus(
@@ -130,9 +168,82 @@ def consensus(
     probe: np.ndarray,
     coverage: CoverageMap,
     grid: ScanGrid,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weighted-average projection onto mutually consistent patch stacks."""
-    return extract_stack(stitch_weighted(stack, probe, coverage, grid), grid)
+    """Weighted-average projection onto mutually consistent patch stacks.
+
+    ``out`` may be ``stack`` itself.
+    """
+    image = stitch_weighted(stack, probe, coverage, grid)
+    return extract_stack(image, grid, out=out)
+
+
+def check_solver_inputs(
+    y: np.ndarray, probe: np.ndarray, grid: ScanGrid, init: np.ndarray
+) -> None:
+    """Reject solver inputs that do not fit the grid, before any work."""
+    n = grid.patch_size
+    if init.shape != grid.image_shape:
+        raise ValueError(
+            f"init shape {init.shape} does not match image {grid.image_shape}"
+        )
+    if y.shape != (len(grid), n, n):
+        raise ValueError(
+            f"amplitude stack shape {y.shape} does not match grid "
+            f"({len(grid)}, {n}, {n})"
+        )
+    if probe.shape != (n, n):
+        raise ValueError(f"probe shape {probe.shape} does not match patch size ({n}, {n})")
+
+
+def iterate_stack(
+    step,
+    stitch,
+    s: np.ndarray,
+    coverage: CoverageMap,
+    probe: np.ndarray,
+    grid: ScanGrid,
+    params,
+    trace_target: np.ndarray | None,
+    mask: np.ndarray | None,
+    descale: float,
+) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
+    """The loop both solvers share: workspace, trace and NaN guard.
+
+    ``s`` is the solver's starting (J, N_p, N_p) stack and is updated in
+    place. Each iteration calls ``step(s, coverage, a, b)``, which updates
+    s with a and b as scratch stacks; s, these two stacks and one image
+    are the whole workspace, and the last three are allocated here.
+    ``stitch(s, probe, coverage, grid, out=image)`` turns the iterate into
+    an image for the trace and the result. ``params`` supplies
+    ``max_iters`` and ``eval_every``.
+    """
+    if mask is None:
+        mask = coverage.covered_mask
+    a = np.empty_like(s)
+    b = np.empty_like(s)
+    image = np.empty(grid.image_shape, dtype=np.complex128)
+    start = time.perf_counter()
+    rows: list[tuple[int, float, float]] = []
+
+    def descaled_image() -> np.ndarray:
+        return np.divide(stitch(s, probe, coverage, grid, out=image), descale, out=image)
+
+    def record(iteration: int) -> None:
+        if trace_target is not None:
+            err = nrmse_phase_aligned(descaled_image(), trace_target, mask)
+        else:
+            err = float("nan")
+        rows.append((iteration, err, time.perf_counter() - start))
+
+    record(0)
+    for t in range(1, params.max_iters + 1):
+        step(s, coverage, a, b)
+        if not np.isfinite(s).all():
+            raise NumericalFailure(t)
+        if t % params.eval_every == 0 or t == params.max_iters:
+            record(t)
+    return descaled_image(), rows
 
 
 def mann_iterate(
@@ -161,38 +272,19 @@ def mann_iterate(
 
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
-    if init.shape != grid.image_shape:
-        raise ValueError(
-            f"init shape {init.shape} does not match image {grid.image_shape}"
-        )
-    if y.shape != (len(grid), grid.patch_size, grid.patch_size):
-        raise ValueError(
-            f"amplitude stack shape {y.shape} does not match grid "
-            f"({len(grid)}, {grid.patch_size}, {grid.patch_size})"
-        )
-    coverage = build_coverage(probe, grid, params.kappa)
-    if mask is None:
-        mask = coverage.covered_mask
-    v = extract_stack(init, grid)
-    start = time.perf_counter()
-    rows: list[tuple[int, float, float]] = []
+    check_solver_inputs(y, probe, grid, init)
 
-    def record(iteration: int) -> None:
-        if trace_target is not None:
-            recon = stitch_weighted(v, probe, coverage, grid) / descale
-            err = nrmse_phase_aligned(recon, trace_target, mask)
-        else:
-            err = float("nan")
-        rows.append((iteration, err, time.perf_counter() - start))
+    def step(v, coverage, w, z):
+        agent_update(v, y, probe, params.alpha, workers=workers, out=w)
+        np.multiply(2, w, out=z)
+        np.subtract(z, v, out=z)
+        consensus(z, probe, coverage, grid, out=z)
+        np.subtract(z, w, out=z)
+        np.multiply(2 * params.rho, z, out=z)
+        np.add(v, z, out=v)
 
-    record(0)
-    for t in range(1, params.max_iters + 1):
-        w = agent_update(v, y, probe, params.alpha, workers=workers)
-        z = consensus(2 * w - v, probe, coverage, grid)
-        v = v + 2 * params.rho * (z - w)
-        if not np.isfinite(v).all():
-            raise NumericalFailure(t)
-        if t % params.eval_every == 0 or t == params.max_iters:
-            record(t)
-    recon = stitch_weighted(v, probe, coverage, grid) / descale
-    return recon, rows
+    return iterate_stack(
+        step, stitch_weighted, extract_stack(init, grid),
+        build_coverage(probe, grid, params.kappa), probe, grid, params,
+        trace_target, mask, descale,
+    )

@@ -8,28 +8,26 @@ of the beta (P_Q - I) term, which is what the comparison here isolates:
 
     sharp_plus:  s <- 2 beta P_Q P_a s + (1 - 2 beta) P_a s - beta (P_Q - I) s
     sharp:       s <- 2 beta P_Q P_a s + (1 - 2 beta) P_a s + beta (P_Q - I) s
+
+P_Q is linear, so each update applies it once, to 2 beta P_a s +- beta s.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fields import (
     CoverageMap,
-    NumericalFailure,
     ScanGrid,
     accumulate_stack,
     build_coverage,
     divide_where_covered,
     extract_stack,
-    fft2_orthonormal,
-    ifft2_orthonormal,
 )
-from .metrics import nrmse_phase_aligned
-from .pmace import phase_factor
+from .pmace import check_solver_inputs, iterate_stack, p_a
 
 VARIANTS = ("sharp", "sharp_plus")
 
@@ -60,24 +58,20 @@ class SharpParams:
             raise ValueError("eval_every must be at least 1")
 
 
-def p_a(frames: np.ndarray, y: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Fourier-magnitude projection: F*(y phase(F s)) per frame."""
-    fs = fft2_orthonormal(frames, workers=workers)
-    return ifft2_orthonormal(y * phase_factor(fs), workers=workers)
-
-
 def stitch_frames(
     frames: np.ndarray,
     probe: np.ndarray,
     coverage2: CoverageMap,
     grid: ScanGrid,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Image estimate (sum_k P_k^t |d|^2)^{-1} sum_j P_j^t conj(d) s_j.
 
     :param coverage2: coverage map built with kappa = 2.
+    :param out: complex128 image to write the result into.
     """
-    image = accumulate_stack(np.conj(probe)[None, :, :] * frames, grid)
-    return divide_where_covered(image, coverage2)
+    image = accumulate_stack(frames, grid, weight=np.conj(probe), out=out)
+    return divide_where_covered(image, coverage2, out=image)
 
 
 def p_q(
@@ -85,12 +79,48 @@ def p_q(
     probe: np.ndarray,
     grid: ScanGrid,
     coverage2: CoverageMap | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Consistency projection: back-project, normalize, re-illuminate."""
+    """Consistency projection: back-project, normalize, re-illuminate.
+
+    ``out`` may be ``frames`` itself.
+    """
     if coverage2 is None:
         coverage2 = build_coverage(probe, grid, 2.0)
     image = stitch_frames(frames, probe, coverage2, grid)
-    return probe[None, :, :] * extract_stack(image, grid)
+    out = extract_stack(image, grid, out=out)
+    return np.multiply(probe, out, out=out)
+
+
+def sharp_step(
+    s: np.ndarray,
+    coverage2: CoverageMap,
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    y: np.ndarray,
+    probe: np.ndarray,
+    grid: ScanGrid,
+    beta: float,
+    sign: float,
+    workers: int = 1,
+) -> None:
+    """One SHARP update of the frame stack s, in place.
+
+        s <- P_Q(2 beta P_a s + sign beta s) + (1 - 2 beta) P_a s - sign beta s
+
+    which equals the two-projection form in the module docstring because
+    P_Q is linear. a and b are scratch stacks of s's shape; sign is -1 for
+    SHARP+ and +1 for SHARP.
+    """
+    p_a(s, y, workers=workers, out=a)
+    np.multiply(sign * beta, s, out=s)
+    np.multiply(2 * beta, a, out=b)
+    np.add(b, s, out=b)
+    p_q(b, probe, grid, coverage2, out=b)
+    np.multiply(1 - 2 * beta, a, out=a)
+    np.add(b, a, out=b)
+    np.subtract(b, s, out=s)
 
 
 def sharp_iterate(
@@ -113,43 +143,14 @@ def sharp_iterate(
 
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
-    if init.shape != grid.image_shape:
-        raise ValueError(
-            f"init shape {init.shape} does not match image {grid.image_shape}"
-        )
-    if y.shape != (len(grid), grid.patch_size, grid.patch_size):
-        raise ValueError(
-            f"amplitude stack shape {y.shape} does not match grid "
-            f"({len(grid)}, {grid.patch_size}, {grid.patch_size})"
-        )
-    coverage2 = build_coverage(probe, grid, 2.0)
-    if mask is None:
-        mask = coverage2.covered_mask
-    sign = -1.0 if params.variant == "sharp_plus" else 1.0
-    beta = params.beta
-    s = probe[None, :, :] * extract_stack(init, grid)
-    start = time.perf_counter()
-    rows: list[tuple[int, float, float]] = []
-
-    def record(iteration: int) -> None:
-        if trace_target is not None:
-            recon = stitch_frames(s, probe, coverage2, grid) / descale
-            err = nrmse_phase_aligned(recon, trace_target, mask)
-        else:
-            err = float("nan")
-        rows.append((iteration, err, time.perf_counter() - start))
-
-    record(0)
-    for t in range(1, params.max_iters + 1):
-        pa = p_a(s, y, workers=workers)
-        s = (
-            2 * beta * p_q(pa, probe, grid, coverage2)
-            + (1 - 2 * beta) * pa
-            + sign * beta * (p_q(s, probe, grid, coverage2) - s)
-        )
-        if not np.isfinite(s).all():
-            raise NumericalFailure(t)
-        if t % params.eval_every == 0 or t == params.max_iters:
-            record(t)
-    recon = stitch_frames(s, probe, coverage2, grid) / descale
-    return recon, rows
+    check_solver_inputs(y, probe, grid, init)
+    step = partial(
+        sharp_step, y=y, probe=probe, grid=grid, beta=params.beta,
+        sign=-1.0 if params.variant == "sharp_plus" else 1.0, workers=workers,
+    )
+    frames = extract_stack(init, grid)
+    np.multiply(probe, frames, out=frames)
+    return iterate_stack(
+        step, stitch_frames, frames, build_coverage(probe, grid, 2.0),
+        probe, grid, params, trace_target, mask, descale,
+    )

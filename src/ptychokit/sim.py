@@ -277,6 +277,12 @@ def load_dataset(path) -> Dataset:
             f"manifest image_shape {manifest['image_shape']} does not match "
             f"ground truth file shape {list(truth.shape)}"
         )
+    n = manifest["probe_size"]
+    if probe.shape != (n, n):
+        raise ValueError(
+            f"manifest probe_size {n} does not match probe file shape "
+            f"{list(probe.shape)}"
+        )
     grid = make_scan_grid(
         tuple(manifest["image_shape"]),
         manifest["probe_size"],

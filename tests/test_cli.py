@@ -318,6 +318,16 @@ class TestSweep:
         ]
         np.testing.assert_allclose(values, np.geomspace(0.01, 1.0, 4), rtol=1e-12)
 
+    def test_values_sharing_a_run_directory_exit_2(self, tmp_path, dataset_dir, capsys):
+        # both values print as 0.1 under {value:g}, so the second run
+        # would overwrite the first one's artifacts
+        code, out = self.run(
+            tmp_path, dataset_dir, ["--param", "alpha", "--values", "0.1,0.1000001"]
+        )
+        assert code == 2
+        assert "alpha_0.1/" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_values_exit_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", ""])
         assert code == 2
@@ -368,6 +378,18 @@ class TestConfigErrors:
     def test_no_output_location_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION))
         assert main(["simulate", "--config", cfg]) == 2
+
+    def test_probe_shape_mismatch_exits_2(self, tmp_path, dataset_dir, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        pk.write_cfld(data / "probe.cfld", pk.read_cfld(data / "probe.cfld")[:, :1])
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=1)
+        assert main(
+            ["reconstruct", "--config", cfg, "--dataset", str(data),
+             "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "probe_size" in err
 
     def test_bad_worker_count_exits_2(self, tmp_path, dataset_dir):
         cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=0)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import ptychokit as pk
-from ptychokit.fields import NumericalFailure, build_coverage, extract_stack
+from ptychokit.fields import (
+    NumericalFailure,
+    accumulate_stack,
+    build_coverage,
+    divide_where_covered,
+    extract_stack,
+    fft2_orthonormal,
+    ifft2_orthonormal,
+)
 from ptychokit.pmace import (
     PmaceParams,
     agent_update,
@@ -256,6 +264,48 @@ class TestMannIterate:
                 small["y"][:3], small["probe"], small["grid"], params,
                 init=np.ones(small["truth"].shape, complex),
             )
+        # an (N_p, 1) probe would broadcast across every patch column
+        with pytest.raises(ValueError, match="probe shape"):
+            pk.mann_iterate(
+                small["y"], small["probe"][:, :1], small["grid"], params,
+                init=np.ones(small["truth"].shape, complex),
+            )
+
+    def test_matches_allocating_reference_loop(self, small):
+        # The solver runs in place on a workspace; this loop spells out
+        # the same arithmetic with a fresh array per expression, operand
+        # order included, so the two must agree to the last bit.
+        y, d, grid = small["y"], small["probe"], small["grid"]
+        alpha, rho, kappa = 0.2, 0.5, 1.25
+        params = PmaceParams(alpha=alpha, rho=rho, kappa=kappa, max_iters=10)
+        init = pk.synth_object(small["truth"].shape, seed=15)
+        recon, rows = pk.mann_iterate(
+            y, d, grid, params, init=init, trace_target=small["truth"], descale=1.5
+        )
+
+        cov = build_coverage(d, grid, kappa)
+        wk = pk.amplitude_power(d, kappa)
+        dinv = regularized_reciprocal(d)
+
+        def stitch(stack):
+            return divide_where_covered(accumulate_stack(wk[None, :, :] * stack, grid), cov)
+
+        def phase(z):
+            az = np.abs(z)
+            out = np.zeros_like(z)
+            np.divide(z, az, out=out, where=az > 0)
+            return out
+
+        v = extract_stack(init, grid)
+        errs = [pk.nrmse_phase_aligned(stitch(v) / 1.5, small["truth"], small["mask"])]
+        for _ in range(params.max_iters):
+            fx = fft2_orthonormal(d * v)
+            w = (alpha * v + dinv * ifft2_orthonormal(y * phase(fx))) / (1 + alpha)
+            z = extract_stack(stitch(2 * w - v), grid)
+            v = v + 2 * rho * (z - w)
+            errs.append(pk.nrmse_phase_aligned(stitch(v) / 1.5, small["truth"], small["mask"]))
+        np.testing.assert_array_equal(recon, stitch(v) / 1.5)
+        assert [err for _, err, _ in rows] == errs
 
 
 class TestPmaceParams:

@@ -3,7 +3,7 @@ import pytest
 
 import ptychokit as pk
 from ptychokit.fields import NumericalFailure, extract_stack
-from ptychokit.sharp import SharpParams, p_a, p_q, sharp_iterate, stitch_frames
+from ptychokit.sharp import SharpParams, p_a, p_q, sharp_iterate, sharp_step, stitch_frames
 
 from conftest import full_support_probe
 
@@ -16,6 +16,17 @@ def random_stack(grid, seed):
     rng = np.random.default_rng(seed)
     shape = (len(grid), grid.patch_size, grid.patch_size)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def two_projection_update(s, y, probe, grid, beta, variant):
+    """The SHARP update as written, with P_Q applied to P_a s and to s."""
+    sign = -1.0 if variant == "sharp_plus" else 1.0
+    pa = p_a(s, y)
+    return (
+        2 * beta * p_q(pa, probe, grid)
+        + (1 - 2 * beta) * pa
+        + sign * beta * (p_q(s, probe, grid) - s)
+    )
 
 
 class TestMagnitudeProjection:
@@ -68,15 +79,23 @@ class TestSharpIterate:
     @pytest.mark.parametrize("variant", ["sharp", "sharp_plus"])
     def test_truth_frames_fixed_by_one_update(self, small, variant):
         s = truth_frames(small)
-        beta = 0.45
-        sign = -1.0 if variant == "sharp_plus" else 1.0
-        pa = p_a(s, small["y"])
-        new = (
-            2 * beta * p_q(pa, small["probe"], small["grid"])
-            + (1 - 2 * beta) * pa
-            + sign * beta * (p_q(s, small["probe"], small["grid"]) - s)
-        )
+        new = two_projection_update(s, small["y"], small["probe"], small["grid"], 0.45, variant)
         assert np.linalg.norm(new - s) / np.linalg.norm(s) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["sharp", "sharp_plus"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fused_step_matches_two_projection_update(self, small, variant, seed):
+        # frames off the consistent set, so the P_Q(s) - s term is not 0
+        s = random_stack(small["grid"], seed=20 + seed)
+        probe, grid, beta = small["probe"], small["grid"], 0.45
+        expected = two_projection_update(s, small["y"], probe, grid, beta, variant)
+        fused = s.copy()
+        sharp_step(
+            fused, pk.build_coverage(probe, grid, 2.0), np.empty_like(s), np.empty_like(s),
+            y=small["y"], probe=probe, grid=grid, beta=beta,
+            sign=-1.0 if variant == "sharp_plus" else 1.0,
+        )
+        assert np.linalg.norm(fused - expected) / np.linalg.norm(expected) < 1e-12
 
     @pytest.mark.parametrize("variant", ["sharp", "sharp_plus"])
     def test_truth_init_stays_put(self, small, variant):
@@ -166,6 +185,12 @@ class TestSharpIterate:
         with pytest.raises(ValueError):
             sharp_iterate(
                 small["y"][:3], small["probe"], small["grid"], params,
+                init=np.ones(small["truth"].shape, complex),
+            )
+        # an (N_p, 1) probe would broadcast across every frame column
+        with pytest.raises(ValueError, match="probe shape"):
+            sharp_iterate(
+                small["y"], small["probe"][:, :1], small["grid"], params,
                 init=np.ones(small["truth"].shape, complex),
             )
 

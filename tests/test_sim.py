@@ -255,3 +255,9 @@ class TestDatasetIo:
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
             pk.load_dataset(out)
+
+    def test_probe_shape_checked_against_manifest(self, tmp_path, small):
+        out, _ = self._write(tmp_path, small, with_noise=False)
+        pk.write_cfld(out / PROBE_NAME, small["probe"][:, :1])
+        with pytest.raises(ValueError, match="probe_size"):
+            pk.load_dataset(out)
