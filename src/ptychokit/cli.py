@@ -11,6 +11,7 @@ solver iterates).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -89,19 +90,11 @@ def cmd_simulate(cfg: dict, out_dir, seed_override: int | None, workers: int) ->
     if seed_override is not None:
         noise_seed = seed_override
 
-    try:
-        grid = sim.make_scan_grid(image_shape, probe_size, grid_dims, spacing)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = sim.make_scan_grid(image_shape, probe_size, grid_dims, spacing)
     x = sim.synth_object(image_shape, object_seed)
     probe = sim.synth_probe(probe_size, probe_seed)
     clean = sim.forward_amplitude(x, probe, grid, workers=workers)
-    noisy = None
-    if noise:
-        try:
-            noisy = sim.add_poisson_noise(clean, r_p, noise_seed, mode=normalization)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    noisy = sim.add_poisson_noise(clean, r_p, noise_seed, mode=normalization) if noise else None
     params = {
         "grid_dims": grid_dims,
         "spacing": spacing,
@@ -114,93 +107,92 @@ def cmd_simulate(cfg: dict, out_dir, seed_override: int | None, workers: int) ->
     return EXIT_OK
 
 
-def _solver_settings(cfg: dict) -> dict:
+def _cast(sec: dict, key: str, cast, default=None):
+    value = sec.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key 'solver.{key}' has invalid value {value!r}") from exc
+
+
+def read_solver(cfg: dict):
+    """Read the solver section once into (params, settings).
+
+    ``params`` is the PmaceParams or SharpParams of the solver the section
+    names, each value cast to the type of its field's default; keys of the
+    other solver are ignored. ``settings`` holds the solver name and the
+    run inputs: data, init and init_seed.
+    """
     sec = _section(cfg, "solver")
     name = _require(sec, "name", "solver")
-    if name not in SOLVER_NAMES:
+    if name == "pmace":
+        params = pmace.PmaceParams()
+    elif name in sharp.VARIANTS:
+        params = sharp.SharpParams(variant=name)
+    else:
         raise ConfigError(f"unknown solver {name!r} (expected one of {SOLVER_NAMES})")
-    return {
-        "name": name,
-        "alpha": float(sec.get("alpha", 0.0)),
-        "rho": float(sec.get("rho", 0.5)),
-        "kappa": float(sec.get("kappa", 1.25)),
-        "beta": float(sec.get("beta", 0.5)),
-        "iterations": int(sec.get("iterations", 100)),
-        "eval_every": int(sec.get("eval_every", 1)),
-        "init": sec.get("init", "ones"),
-        "init_seed": int(sec.get("init_seed", 0)),
-        "data": sec.get("data", "clean"),
-    }
+    given = {}
+    for field in dataclasses.fields(params):
+        key = "iterations" if field.name == "max_iters" else field.name
+        if key in sec and field.name != "variant":
+            given[field.name] = _cast(sec, key, type(field.default))
+    data = sec.get("data", "clean")
+    if data not in ("clean", "noisy"):
+        raise ConfigError(f"solver.data must be 'clean' or 'noisy', got {data!r}")
+    settings = {"name": name, "data": data, "init": sec.get("init", "ones"),
+                "init_seed": _cast(sec, "init_seed", int, 0)}
+    return dataclasses.replace(params, **given), settings
 
 
-def _run_solver(settings: dict, dataset: sim.Dataset, workers: int):
-    if settings["data"] not in ("clean", "noisy"):
-        raise ConfigError(f"solver.data must be 'clean' or 'noisy', got {settings['data']!r}")
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _run(params, settings: dict, dataset: sim.Dataset, workers: int, run_dir: Path):
+    """Solve and write recon.cfld and trace.csv; return (final NRMSE, seconds)."""
+    t0 = time.perf_counter()
+    y, descale = dataset.clean, 1.0
     if settings["data"] == "noisy":
         if dataset.noisy is None:
             raise ConfigError("config requests noisy data but the dataset has none")
-        y = dataset.noisy
-        descale = dataset.scale_factor
-    else:
-        y = dataset.clean
-        descale = 1.0
+        y, descale = dataset.noisy, dataset.scale_factor
     init = make_init(settings["init"], dataset.grid.image_shape, settings["init_seed"])
-    try:
-        if settings["name"] == "pmace":
-            params = pmace.PmaceParams(
-                alpha=settings["alpha"],
-                rho=settings["rho"],
-                kappa=settings["kappa"],
-                max_iters=settings["iterations"],
-                eval_every=settings["eval_every"],
-            )
-            return pmace.mann_iterate(
-                y, dataset.probe, dataset.grid, params, init,
-                trace_target=dataset.truth, descale=descale, workers=workers,
-            )
-        params = sharp.SharpParams(
-            beta=settings["beta"],
-            max_iters=settings["iterations"],
-            variant=settings["name"],
-            eval_every=settings["eval_every"],
-        )
-        return sharp.sharp_iterate(
-            y, dataset.probe, dataset.grid, params, init,
-            trace_target=dataset.truth, descale=descale, workers=workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # looked up at call time, so a wrapper installed on the module applies
+    iterate = pmace.mann_iterate if isinstance(params, pmace.PmaceParams) else sharp.sharp_iterate
+    recon, trace = iterate(
+        y, dataset.probe, dataset.grid, params, init,
+        trace_target=dataset.truth, descale=descale, workers=workers,
+    )
+    wall = time.perf_counter() - t0
+    run_dir.mkdir(exist_ok=True)
+    write_cfld(run_dir / "recon.cfld", recon)
+    write_trace_csv(run_dir / "trace.csv", trace)
+    return trace[-1][1], wall
 
 
 def cmd_reconstruct(cfg: dict, dataset_path, out_dir, seed_override: int | None, workers: int) -> int:
-    settings = _solver_settings(cfg)
+    params, settings = read_solver(cfg)
     if seed_override is not None:
         settings["init_seed"] = seed_override
     dataset = sim.load_dataset(dataset_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    recon, trace = _run_solver(settings, dataset, workers)
-    wall = time.perf_counter() - t0
-    write_cfld(out / "recon.cfld", recon)
-    write_trace_csv(out / "trace.csv", trace)
-    summary = {
-        "solver": settings,
+    final, wall = _run(params, settings, dataset, workers, out)
+    _write_json(out / "summary.json", {
+        "solver": dict(settings, **dataclasses.asdict(params)),
         "dataset": str(dataset_path),
-        "iterations": settings["iterations"],
-        "final_nrmse": trace[-1][1],
+        "iterations": params.max_iters,
+        "final_nrmse": final,
         "wall_seconds": wall,
         "workers": workers,
-    }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"final NRMSE {trace[-1][1]:.6e} after {settings['iterations']} iterations "
+    })
+    print(f"final NRMSE {final:.6e} after {params.max_iters} iterations "
           f"({wall:.2f}s); artifacts in {out}")
     return EXIT_OK
 
 
 def _sweep_values(args) -> list[float]:
+    vals = []
     if args.values:
         try:
             vals = [float(v) for v in args.values.split(",") if v.strip() != ""]
@@ -210,55 +202,43 @@ def _sweep_values(args) -> list[float]:
         lo, hi, n = args.log_range
         if lo <= 0 or hi <= 0:
             raise ConfigError("--log-range endpoints must be positive")
+        if not (n >= 1 and n.is_integer()):
+            raise ConfigError(f"--log-range N must be a whole number of at least 1, got {n:g}")
         vals = list(np.geomspace(lo, hi, int(n)))
-    else:
-        vals = []
     if not vals:
         raise ConfigError("sweep needs a nonempty value list (--values or --log-range)")
     return vals
 
 
 def cmd_sweep(cfg: dict, dataset_path, out_dir, param: str, values: list[float], workers: int) -> int:
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
-    run_names: dict[str, float] = {}
-    for value in values:
+    base, settings = read_solver(cfg)
+    if param not in {field.name for field in dataclasses.fields(base)}:
+        raise ConfigError(f"--param {param} is not a parameter of solver {settings['name']}")
+    runs = {}
+    for value in map(float, values):
         name = f"{param}_{value:g}"
-        if name in run_names:
+        if name in runs:
             raise ConfigError(
-                f"sweep values {run_names[name]!r} and {float(value)!r} would both "
+                f"sweep values {getattr(runs[name], param)!r} and {value!r} would both "
                 f"write run directory {name}/"
             )
-        run_names[name] = float(value)
-    settings = _solver_settings(cfg)
+        runs[name] = dataclasses.replace(base, **{param: value})
     dataset = sim.load_dataset(dataset_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for name, value in run_names.items():
-        run = dict(settings)
-        run[param] = value
-        t0 = time.perf_counter()
-        recon, trace = _run_solver(run, dataset, workers)
-        wall = time.perf_counter() - t0
-        run_dir = out / name
-        run_dir.mkdir(exist_ok=True)
-        write_cfld(run_dir / "recon.cfld", recon)
-        write_trace_csv(run_dir / "trace.csv", trace)
-        rows.append((value, trace[-1][1], wall))
-        print(f"{param}={value:g}: final NRMSE {trace[-1][1]:.6e} ({wall:.2f}s)")
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("value,final_nrmse,seconds\n")
-        for value, err, wall in rows:
-            fh.write(f"{value!r},{err!r},{wall!r}\n")
+    for name, params in runs.items():
+        value = getattr(params, param)
+        final, wall = _run(params, settings, dataset, workers, out / name)
+        rows.append((value, final, wall))
+        print(f"{param}={value:g}: final NRMSE {final:.6e} ({wall:.2f}s)")
+    (out / "sweep.csv").write_text("value,final_nrmse,seconds\n" + "".join(
+        f"{value!r},{err!r},{wall!r}\n" for value, err, wall in rows))
     best = min(rows, key=lambda r: r[1])
-    with open(out / "sweep_summary.json", "w") as fh:
-        json.dump(
-            {"param": param, "best_value": best[0], "best_nrmse": best[1],
-             "runs": len(rows), "solver": settings},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(out / "sweep_summary.json", {
+        "param": param, "best_value": best[0], "best_nrmse": best[1],
+        "runs": len(rows), "solver": dict(settings, **dataclasses.asdict(base)),
+    })
     print(f"best {param}={best[0]:g} with final NRMSE {best[1]:.6e}")
     return EXIT_OK
 
@@ -341,26 +321,15 @@ def main(argv=None) -> int:
             return cmd_evaluate(args.recon, args.dataset)
         cfg = load_config(args.config)
         workers = _resolve_workers(args, cfg)
+        out = _resolve_out(args, cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, _resolve_out(args, cfg), args.seed, workers)
+            return cmd_simulate(cfg, out, args.seed, workers)
         if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.dataset, _resolve_out(args, cfg), args.seed, workers)
-        if args.command == "sweep":
-            values = _sweep_values(args)
-            return cmd_sweep(cfg, args.dataset, _resolve_out(args, cfg), args.param, values, workers)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+            return cmd_reconstruct(cfg, args.dataset, out, args.seed, workers)
+        return cmd_sweep(cfg, args.dataset, out, args.param, _sweep_values(args), workers)
+    except (ConfigError, OSError, ValueError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -58,15 +58,3 @@ def read_trace_csv(path) -> list[tuple[int, float, float]]:
             raise ValueError(f"{path}: unexpected trace header {header}")
         return [(int(r[0]), float(r[1]), float(r[2])) for r in reader]
 
-
-def trace_bytes_without_seconds(path) -> bytes:
-    """Trace file content with the wall-clock column removed.
-
-    Elapsed seconds are the one nondeterministic artifact column;
-    byte-level reproducibility comparisons use this view.
-    """
-    out = []
-    with open(path, newline="") as fh:
-        for line in fh.read().splitlines():
-            out.append(",".join(line.split(",")[:2]))
-    return ("\n".join(out) + "\n").encode()

@@ -56,12 +56,13 @@ class PmaceParams:
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        # NaN fails every comparison, so each check is written to reject it
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         if not 0 < self.rho < 1:
             raise ValueError("rho must lie in (0, 1)")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be finite and nonnegative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.eval_every < 1:
@@ -194,6 +195,8 @@ def check_solver_inputs(
         )
     if probe.shape != (n, n):
         raise ValueError(f"probe shape {probe.shape} does not match patch size ({n}, {n})")
+    if not np.any(probe):
+        raise ValueError("probe is zero everywhere")
 
 
 def iterate_stack(

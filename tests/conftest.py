@@ -57,6 +57,19 @@ def small():
     }
 
 
+def trace_bytes_without_seconds(path) -> bytes:
+    """Trace file content with the wall-clock column removed.
+
+    Elapsed seconds are the one nondeterministic artifact column;
+    byte-level reproducibility comparisons use this view.
+    """
+    out = []
+    with open(path, newline="") as fh:
+        for line in fh.read().splitlines():
+            out.append(",".join(line.split(",")[:2]))
+    return ("\n".join(out) + "\n").encode()
+
+
 def full_support_probe(size: int, seed: int) -> np.ndarray:
     """Probe with no zero pixels, for identities that need invertible D."""
     rng = np.random.default_rng(seed)

@@ -21,10 +21,11 @@ from conftest import (
     DESK_SHAPE,
     DESK_SPACING,
     full_support_probe,
+    trace_bytes_without_seconds,
 )
 from ptychokit.cli import main
 from ptychokit.fields import ScanGrid, accumulate_patch, extract_patch
-from ptychokit.metrics import read_trace_csv, trace_bytes_without_seconds
+from ptychokit.metrics import read_trace_csv
 from ptychokit.pmace import PmaceParams
 from ptychokit.sharp import SharpParams, sharp_iterate
 

@@ -3,15 +3,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptychokit as pk
 from ptychokit.cli import main
-from ptychokit.metrics import read_trace_csv, trace_bytes_without_seconds
+from ptychokit.metrics import read_trace_csv
+
+from conftest import trace_bytes_without_seconds
 
 SIM_SECTION = {
     "image_shape": [48, 48],
@@ -36,6 +41,28 @@ SOLVER_SECTION = {
     "init": "ones",
     "data": "clean",
 }
+
+
+SOLVER_KEYS = ("name", "alpha", "rho", "kappa", "beta", "iterations", "eval_every",
+               "init", "init_seed", "data")
+
+
+def solver_value(key):
+    """An int, float, string, list, mapping or null for one solver key.
+
+    Values for ``iterations`` stay small (a one-character string is at
+    most 9) so that every example runs quickly.
+    """
+    if key == "iterations":
+        numbers = st.integers(-2, 6) | st.floats(-2, 6) | st.sampled_from([np.nan, np.inf])
+        text = st.text(max_size=1)
+    else:
+        numbers = st.integers() | st.floats()
+        text = st.text(max_size=6)
+    return st.one_of(
+        numbers, text, st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.none(),
+    )
 
 
 def write_config(path, sim=None, solver=None, **extra):
@@ -185,6 +212,20 @@ class TestReconstruct:
             out8 / "trace.csv"
         )
 
+    def test_summary_records_only_the_solvers_params(self, tmp_path, dataset_dir):
+        # the config also carries the other solver's keys, which are ignored
+        both = {"beta": 0.3, "iterations": 5}
+        _, out = self.run(tmp_path / "p", dataset_dir, both)
+        solver = json.loads((out / "summary.json").read_text())["solver"]
+        assert solver == {
+            "name": "pmace", "alpha": 0.1, "rho": 0.5, "kappa": 1.25, "max_iters": 5,
+            "eval_every": 1, "data": "clean", "init": "ones", "init_seed": 0,
+        }
+        _, out = self.run(tmp_path / "s", dataset_dir, dict(both, name="sharp"))
+        solver = json.loads((out / "summary.json").read_text())["solver"]
+        assert solver["beta"] == 0.3 and solver["variant"] == "sharp"
+        assert not {"alpha", "rho", "kappa"} & solver.keys()
+
     def test_unknown_solver_exits_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, {"name": "awf"})
         assert code == 2
@@ -204,6 +245,26 @@ class TestReconstruct:
     def test_invalid_solver_param_exits_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, {"rho": 1.5})
         assert code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", [1]), ("alpha", {"a": 1}), ("iterations", [5]), ("init_seed", "x"),
+        ("eval_every", float("inf")),
+    ])
+    def test_solver_value_of_wrong_type_exits_2(self, tmp_path, dataset_dir, capsys, key, value):
+        code, out = self.run(tmp_path, dataset_dir, {key: value})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key 'solver.{key}'") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_zero_probe_exits_2(self, tmp_path, dataset_dir, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        probe = pk.read_cfld(data / "probe.cfld")
+        pk.write_cfld(data / "probe.cfld", np.zeros_like(probe))
+        code, _ = self.run(tmp_path, data)
+        assert code == 2
+        assert capsys.readouterr().err == "error: probe is zero everywhere\n"
 
     def test_bad_init_mode_exits_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, {"init": "zeros"})
@@ -328,6 +389,34 @@ class TestSweep:
         assert "alpha_0.1/" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, param", [("pmace", "beta"), ("sharp_plus", "alpha"),
+                                             ("sharp", "kappa")])
+    def test_param_of_another_solver_exits_2(self, tmp_path, dataset_dir, capsys, name, param):
+        # the runs would all be identical, so the sweep would mean nothing
+        code, out = self.run(
+            tmp_path, dataset_dir, ["--param", param, "--values", "0.2,0.4"], {"name": name}
+        )
+        assert code == 2
+        assert f"--param {param} is not a parameter of solver {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_invalid_value_exits_2_before_any_run(self, tmp_path, dataset_dir, capsys, bad):
+        code, out = self.run(
+            tmp_path, dataset_dir, ["--param", "alpha", "--values", f"0.1,{bad}"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: alpha must be finite and nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["2.7", "0", "-3", "nan", "inf"])
+    def test_log_range_count_not_a_whole_number_exits_2(self, tmp_path, dataset_dir, n):
+        code, out = self.run(
+            tmp_path, dataset_dir, ["--param", "alpha", "--log-range", "0.1", "1", n]
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_empty_values_exit_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", ""])
         assert code == 2
@@ -390,6 +479,21 @@ class TestConfigErrors:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "probe_size" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["pmace", "sharp", "sharp_plus"]),
+           key=st.sampled_from(SOLVER_KEYS))
+    def test_mutated_solver_key_exits_0_2_or_3(self, dataset_dir, data, name, key):
+        solver = dict(SOLVER_SECTION, name=name, beta=0.45, iterations=3)
+        solver[key] = data.draw(solver_value(key), label=key)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp) / "c.yaml", solver=solver, workers=1)
+            code = main(
+                ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+                 "--out", str(Path(tmp) / "o")]
+            )
+        assert code in (0, 2, 3)
 
     def test_bad_worker_count_exits_2(self, tmp_path, dataset_dir):
         cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=0)

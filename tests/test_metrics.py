@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from ptychokit.metrics import (
     nrmse_phase_aligned,
     read_trace_csv,
-    trace_bytes_without_seconds,
     write_trace_csv,
 )
+
+from conftest import trace_bytes_without_seconds
 
 
 def random_field(shape, seed):

@@ -271,6 +271,14 @@ class TestMannIterate:
                 init=np.ones(small["truth"].shape, complex),
             )
 
+    def test_zero_probe_rejected(self, small):
+        # eps = 1e-6 max|d| is 0 for this probe, so D^reginv would be 0/0
+        with pytest.raises(ValueError, match="probe is zero"):
+            pk.mann_iterate(
+                small["y"], np.zeros_like(small["probe"]), small["grid"],
+                PmaceParams(max_iters=1), init=np.ones(small["truth"].shape, complex),
+            )
+
     def test_matches_allocating_reference_loop(self, small):
         # The solver runs in place on a workspace; this loop spells out
         # the same arithmetic with a fresh array per expression, operand
@@ -317,9 +325,14 @@ class TestPmaceParams:
         "kwargs",
         [
             {"alpha": -0.1},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
             {"rho": 0.0},
             {"rho": 1.0},
+            {"rho": float("nan")},
             {"kappa": -1.0},
+            {"kappa": float("nan")},
+            {"kappa": float("inf")},
             {"max_iters": -1},
             {"eval_every": 0},
         ],

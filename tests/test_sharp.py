@@ -194,6 +194,16 @@ class TestSharpIterate:
                 init=np.ones(small["truth"].shape, complex),
             )
 
+    @pytest.mark.parametrize("variant", ["sharp", "sharp_plus"])
+    def test_zero_probe_rejected(self, small, variant):
+        # without the check the solver returns an all-zero image
+        with pytest.raises(ValueError, match="probe is zero"):
+            sharp_iterate(
+                small["y"], np.zeros_like(small["probe"]), small["grid"],
+                SharpParams(max_iters=1, variant=variant),
+                init=np.ones(small["truth"].shape, complex),
+            )
+
 
 class TestSharpParams:
     def test_valid_defaults(self):
@@ -205,6 +215,7 @@ class TestSharpParams:
         [
             {"beta": 0.0},
             {"beta": 1.0},
+            {"beta": float("nan")},
             {"variant": "raar"},
             {"max_iters": -1},
             {"eval_every": 0},
