@@ -27,6 +27,7 @@ from .metrics import nrmse_phase_aligned, write_trace_csv
 
 SOLVER_NAMES = ("pmace", "sharp", "sharp_plus")
 SWEEP_PARAMS = ("alpha", "beta", "kappa", "rho")
+WORKERS_HELP = "threads across frames (default: CPU count); results do not depend on it"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,12 +108,13 @@ def cmd_simulate(cfg: dict, out_dir, seed_override: int | None, workers: int) ->
     return EXIT_OK
 
 
-def _cast(sec: dict, key: str, cast, default=None):
-    value = sec.get(key, default)
+def _cast(value, key: str, cast):
     try:
+        if cast is int and (isinstance(value, bool) or not float(value).is_integer()):
+            raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key 'solver.{key}' has invalid value {value!r}") from exc
+        raise ConfigError(f"config key '{key}' has invalid value {value!r}") from exc
 
 
 def read_solver(cfg: dict):
@@ -135,12 +137,12 @@ def read_solver(cfg: dict):
     for field in dataclasses.fields(params):
         key = "iterations" if field.name == "max_iters" else field.name
         if key in sec and field.name != "variant":
-            given[field.name] = _cast(sec, key, type(field.default))
+            given[field.name] = _cast(sec[key], f"solver.{key}", type(field.default))
     data = sec.get("data", "clean")
     if data not in ("clean", "noisy"):
         raise ConfigError(f"solver.data must be 'clean' or 'noisy', got {data!r}")
     settings = {"name": name, "data": data, "init": sec.get("init", "ones"),
-                "init_seed": _cast(sec, "init_seed", int, 0)}
+                "init_seed": _cast(sec.get("init_seed", 0), "solver.init_seed", int)}
     return dataclasses.replace(params, **given), settings
 
 
@@ -269,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="YAML experiment config")
     p_sim.add_argument("--out", help="dataset output directory (default: config 'output')")
     p_sim.add_argument("--seed", type=int, help="override the noise seed")
-    p_sim.add_argument("--workers", type=int, help="FFT worker threads")
+    p_sim.add_argument("--workers", type=int, help=WORKERS_HELP)
 
     p_rec = sub.add_parser("reconstruct", help="run a solver against a dataset")
     p_rec.add_argument("--config", required=True)
     p_rec.add_argument("--dataset", required=True, help="dataset directory from 'simulate'")
     p_rec.add_argument("--out", help="artifact output directory (default: config 'output')")
     p_rec.add_argument("--seed", type=int, help="override the init seed")
-    p_rec.add_argument("--workers", type=int)
+    p_rec.add_argument("--workers", type=int, help=WORKERS_HELP)
 
     p_swp = sub.add_parser("sweep", help="reconstruct across one parameter's values")
     p_swp.add_argument("--config", required=True)
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--values", help="comma-separated values, e.g. 0.1,0.2,0.5")
     p_swp.add_argument("--log-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
                        help="log-spaced grid from LO to HI with N points")
-    p_swp.add_argument("--workers", type=int)
+    p_swp.add_argument("--workers", type=int, help=WORKERS_HELP)
 
     p_eval = sub.add_parser("evaluate", help="NRMSE of a stored reconstruction")
     p_eval.add_argument("--recon", required=True, help="reconstruction CFLD file")
@@ -303,12 +305,8 @@ def _resolve_out(args, cfg) -> str:
 
 
 def _resolve_workers(args, cfg) -> int:
-    w = getattr(args, "workers", None)
-    if w is None:
-        w = cfg.get("workers")
-    if w is None:
-        w = os.cpu_count() or 1
-    w = int(w)
+    w = cfg.get("workers") if args.workers is None else args.workers
+    w = _cast((os.cpu_count() or 1) if w is None else w, "workers", int)
     if w < 1:
         raise ConfigError("workers must be at least 1")
     return w

@@ -16,6 +16,7 @@ T = (2G - I)(2F - I) with weight rho.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
@@ -34,6 +35,8 @@ from .fields import (
 from .metrics import nrmse_phase_aligned
 
 RECIPROCAL_EPS_FRAC = 1e-6
+# Frames per block of the solvers' per-frame work: 2 MiB at N_p = 64.
+BLOCK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,6 @@ def regularized_reciprocal(probe: np.ndarray) -> np.ndarray:
 def p_a(
     frames: np.ndarray,
     y: np.ndarray,
-    workers: int = 1,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fourier-magnitude projection: F*(y phase(F s)) per frame.
@@ -107,10 +109,10 @@ def p_a(
     if out is None:
         out = np.empty(frames.shape, dtype=np.complex128)
     np.copyto(out, frames)
-    f = fft2_orthonormal(out, workers=workers, overwrite_x=True)
+    f = fft2_orthonormal(out, overwrite_x=True)
     phase_factor(f, out=f)
     np.multiply(y, f, out=f)
-    f = ifft2_orthonormal(f, workers=workers, overwrite_x=True)
+    f = ifft2_orthonormal(f, overwrite_x=True)
     # An in-place transform already left the result in out; its array
     # differs from out only by a dtype instance, which np.copyto copies.
     if not np.may_share_memory(f, out):
@@ -123,7 +125,6 @@ def agent_update(
     y: np.ndarray,
     probe: np.ndarray,
     alpha: float,
-    workers: int = 1,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Probe-weighted proximal agent applied to a patch or patch stack.
@@ -140,7 +141,7 @@ def agent_update(
     if out is None:
         out = np.empty(x.shape, dtype=np.complex128)
     np.multiply(probe, x, out=out)
-    p_a(out, y, workers=workers, out=out)
+    p_a(out, y, out=out)
     np.multiply(regularized_reciprocal(probe), out, out=out)
     np.add(alpha * x, out, out=out)
     return np.divide(out, 1 + alpha, out=out)
@@ -200,52 +201,55 @@ def check_solver_inputs(
 
 
 def iterate_stack(
-    step,
-    stitch,
-    s: np.ndarray,
-    coverage: CoverageMap,
-    probe: np.ndarray,
-    grid: ScanGrid,
-    params,
-    trace_target: np.ndarray | None,
-    mask: np.ndarray | None,
-    descale: float,
+    first, couple, second, stitch, s: np.ndarray, y: np.ndarray, coverage: CoverageMap,
+    probe: np.ndarray, grid: ScanGrid, params, trace_target: np.ndarray | None,
+    mask: np.ndarray | None, descale: float, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
-    """The loop both solvers share: workspace, trace and NaN guard.
+    """The loop both solvers share: workspace, frame blocks, trace and NaN guard.
 
-    ``s`` is the solver's starting (J, N_p, N_p) stack and is updated in
-    place. Each iteration calls ``step(s, coverage, a, b)``, which updates
-    s with a and b as scratch stacks; s, these two stacks and one image
-    are the whole workspace, and the last three are allocated here.
-    ``stitch(s, probe, coverage, grid, out=image)`` turns the iterate into
-    an image for the trace and the result. ``params`` supplies
-    ``max_iters`` and ``eval_every``.
+    ``s``, the solver's starting (J, N_p, N_p) stack, is updated in place
+    with two scratch stacks a and b. An iteration runs ``first(s[k], a[k],
+    b[k], y[k])`` on every block k of BLOCK_FRAMES frames, ``couple(b)`` on
+    the whole stack, then ``second(s[k], a[k], b[k])`` and the NaN guard per
+    block. Blocks run on min(workers, blocks) threads and touch only their
+    own frames; the coupling runs on the calling thread, so results do not
+    depend on ``workers``. ``stitch(s, probe, coverage, grid, out=image)``
+    gives the image for the trace and the result.
     """
     if mask is None:
         mask = coverage.covered_mask
-    a = np.empty_like(s)
-    b = np.empty_like(s)
+    a, b = np.empty_like(s), np.empty_like(s)
     image = np.empty(grid.image_shape, dtype=np.complex128)
+    blocks = [slice(i, i + BLOCK_FRAMES) for i in range(0, len(s), BLOCK_FRAMES)]
+    threads = min(workers, len(blocks))
     start = time.perf_counter()
     rows: list[tuple[int, float, float]] = []
+
+    def second_block(k: slice) -> bool:
+        second(s[k], a[k], b[k])
+        return bool(np.isfinite(s[k]).all())
 
     def descaled_image() -> np.ndarray:
         return np.divide(stitch(s, probe, coverage, grid, out=image), descale, out=image)
 
     def record(iteration: int) -> None:
+        err = float("nan")
         if trace_target is not None:
             err = nrmse_phase_aligned(descaled_image(), trace_target, mask)
-        else:
-            err = float("nan")
         rows.append((iteration, err, time.perf_counter() - start))
 
-    record(0)
-    for t in range(1, params.max_iters + 1):
-        step(s, coverage, a, b)
-        if not np.isfinite(s).all():
-            raise NumericalFailure(t)
-        if t % params.eval_every == 0 or t == params.max_iters:
-            record(t)
+    # np.errstate is per thread; the block threads take the caller's
+    err = np.geterr()
+    with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**err)) as pool:
+        run = pool.map if threads > 1 else map
+        record(0)
+        for t in range(1, params.max_iters + 1):
+            list(run(lambda k: first(s[k], a[k], b[k], y[k]), blocks))
+            couple(b)
+            if not all(list(run(second_block, blocks))):
+                raise NumericalFailure(t)
+            if t % params.eval_every == 0 or t == params.max_iters:
+                record(t)
     return descaled_image(), rows
 
 
@@ -276,18 +280,22 @@ def mann_iterate(
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
     check_solver_inputs(y, probe, grid, init)
+    coverage = build_coverage(probe, grid, params.kappa)
 
-    def step(v, coverage, w, z):
-        agent_update(v, y, probe, params.alpha, workers=workers, out=w)
+    def first(v, w, z, y):
+        agent_update(v, y, probe, params.alpha, out=w)
         np.multiply(2, w, out=z)
         np.subtract(z, v, out=z)
+
+    def couple(z):
         consensus(z, probe, coverage, grid, out=z)
+
+    def second(v, w, z):
         np.subtract(z, w, out=z)
         np.multiply(2 * params.rho, z, out=z)
         np.add(v, z, out=v)
 
     return iterate_stack(
-        step, stitch_weighted, extract_stack(init, grid),
-        build_coverage(probe, grid, params.kappa), probe, grid, params,
-        trace_target, mask, descale,
+        first, couple, second, stitch_weighted, extract_stack(init, grid), y, coverage,
+        probe, grid, params, trace_target, mask, descale, workers,
     )

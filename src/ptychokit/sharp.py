@@ -15,7 +15,6 @@ P_Q is linear, so each update applies it once, to 2 beta P_a s +- beta s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -92,35 +91,30 @@ def p_q(
     return np.multiply(probe, out, out=out)
 
 
-def sharp_step(
-    s: np.ndarray,
-    coverage2: CoverageMap,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    y: np.ndarray,
-    probe: np.ndarray,
-    grid: ScanGrid,
-    beta: float,
-    sign: float,
-    workers: int = 1,
-) -> None:
-    """One SHARP update of the frame stack s, in place.
+def block_steps(beta: float, variant: str):
+    """(first, second): the per-block halves of one in-place SHARP update.
 
-        s <- P_Q(2 beta P_a s + sign beta s) + (1 - 2 beta) P_a s - sign beta s
+        first(s, a, b, y):  a <- P_a s;  s <- sign beta s;  b <- 2 beta a + s
+        second(s, a, b):    s <- b + (1 - 2 beta) a - s
 
-    which equals the two-projection form in the module docstring because
-    P_Q is linear. a and b are scratch stacks of s's shape; sign is -1 for
-    SHARP+ and +1 for SHARP.
+    With b <- P_Q(b) between them this is s <- P_Q(2 beta P_a s + sign beta s)
+    + (1 - 2 beta) P_a s - sign beta s, with sign -1 for SHARP+ and +1 for
+    SHARP. Each half works on any run of frames s, a, b and y share.
     """
-    p_a(s, y, workers=workers, out=a)
-    np.multiply(sign * beta, s, out=s)
-    np.multiply(2 * beta, a, out=b)
-    np.add(b, s, out=b)
-    p_q(b, probe, grid, coverage2, out=b)
-    np.multiply(1 - 2 * beta, a, out=a)
-    np.add(b, a, out=b)
-    np.subtract(b, s, out=s)
+    sign = -1.0 if variant == "sharp_plus" else 1.0
+
+    def first(s, a, b, y):
+        p_a(s, y, out=a)
+        np.multiply(sign * beta, s, out=s)
+        np.multiply(2 * beta, a, out=b)
+        np.add(b, s, out=b)
+
+    def second(s, a, b):
+        np.multiply(1 - 2 * beta, a, out=a)
+        np.add(b, a, out=b)
+        np.subtract(b, s, out=s)
+
+    return first, second
 
 
 def sharp_iterate(
@@ -144,13 +138,15 @@ def sharp_iterate(
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
     check_solver_inputs(y, probe, grid, init)
-    step = partial(
-        sharp_step, y=y, probe=probe, grid=grid, beta=params.beta,
-        sign=-1.0 if params.variant == "sharp_plus" else 1.0, workers=workers,
-    )
+    coverage2 = build_coverage(probe, grid, 2.0)
+    first, second = block_steps(params.beta, params.variant)
+
+    def couple(b):
+        p_q(b, probe, grid, coverage2, out=b)
+
     frames = extract_stack(init, grid)
     np.multiply(probe, frames, out=frames)
     return iterate_stack(
-        step, stitch_frames, frames, build_coverage(probe, grid, 2.0),
-        probe, grid, params, trace_target, mask, descale,
+        first, couple, second, stitch_frames, frames, y, coverage2,
+        probe, grid, params, trace_target, mask, descale, workers,
     )

@@ -257,6 +257,18 @@ class TestReconstruct:
         assert err.startswith(f"error: config key 'solver.{key}'") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", 2.7), ("eval_every", 1.5), ("init_seed", 0.5), ("iterations", True),
+    ])
+    def test_integer_key_that_is_not_whole_exits_2(
+        self, tmp_path, dataset_dir, capsys, key, value
+    ):
+        code, out = self.run(tmp_path, dataset_dir, {key: value})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key 'solver.{key}'") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_zero_probe_exits_2(self, tmp_path, dataset_dir, capsys):
         data = tmp_path / "ds"
         shutil.copytree(dataset_dir, data)
@@ -494,6 +506,19 @@ class TestConfigErrors:
                  "--out", str(Path(tmp) / "o")]
             )
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("workers", [[1], {"a": 1}, 2.7, True])
+    def test_worker_count_that_is_not_whole_exits_2(
+        self, tmp_path, dataset_dir, capsys, workers
+    ):
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=workers)
+        assert main(
+            ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+             "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'workers'") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_bad_worker_count_exits_2(self, tmp_path, dataset_dir):
         cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=0)

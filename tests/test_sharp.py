@@ -3,7 +3,7 @@ import pytest
 
 import ptychokit as pk
 from ptychokit.fields import NumericalFailure, extract_stack
-from ptychokit.sharp import SharpParams, p_a, p_q, sharp_iterate, sharp_step, stitch_frames
+from ptychokit.sharp import SharpParams, block_steps, p_a, p_q, sharp_iterate, stitch_frames
 
 from conftest import full_support_probe
 
@@ -89,12 +89,15 @@ class TestSharpIterate:
         s = random_stack(small["grid"], seed=20 + seed)
         probe, grid, beta = small["probe"], small["grid"], 0.45
         expected = two_projection_update(s, small["y"], probe, grid, beta, variant)
-        fused = s.copy()
-        sharp_step(
-            fused, pk.build_coverage(probe, grid, 2.0), np.empty_like(s), np.empty_like(s),
-            y=small["y"], probe=probe, grid=grid, beta=beta,
-            sign=-1.0 if variant == "sharp_plus" else 1.0,
-        )
+        fused, a, b = s.copy(), np.empty_like(s), np.empty_like(s)
+        first, second = block_steps(beta, variant)
+        # blocks of unequal length, as the last block of a solve can be
+        blocks = [slice(0, 5), slice(5, None)]
+        for k in blocks:
+            first(fused[k], a[k], b[k], small["y"][k])
+        p_q(b, probe, grid, pk.build_coverage(probe, grid, 2.0), out=b)
+        for k in blocks:
+            second(fused[k], a[k], b[k])
         assert np.linalg.norm(fused - expected) / np.linalg.norm(expected) < 1e-12
 
     @pytest.mark.parametrize("variant", ["sharp", "sharp_plus"])
