@@ -26,7 +26,7 @@ ones = np.ones(image_shape, complex)
 # A plain run: pure data fitting (alpha=0), default weights
 params = PmaceParams(alpha=0.0, rho=0.5, kappa=1.25, max_iters=100, eval_every=10)
 recon, trace = pk.mann_iterate(
-    y, probe, grid, params, init=ones, trace_target=truth, mask=mask
+    y, probe, grid, params, init=ones, trace_target=truth
 )
 print("iter   NRMSE")
 for it, err, _ in trace:
@@ -38,7 +38,7 @@ print("\nfinal NRMSE after 100 iterations vs alpha:")
 for alpha in (0.0, 0.1, 0.2):
     params = PmaceParams(alpha=alpha, rho=0.5, kappa=1.25, max_iters=100)
     _, trace = pk.mann_iterate(
-        y, probe, grid, params, init=ones, trace_target=truth, mask=mask
+        y, probe, grid, params, init=ones, trace_target=truth
     )
     print(f"  alpha={alpha:<4}  {trace[-1][1]:.3e}")
 

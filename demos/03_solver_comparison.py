@@ -18,7 +18,6 @@ grid = pk.make_scan_grid(image_shape, 64, (8, 8), 14)
 truth = pk.synth_object(image_shape, seed=7)
 probe = pk.synth_probe(64, seed=11)
 y = pk.forward_amplitude(truth, probe, grid)
-mask = pk.build_coverage(probe, grid, 1.25).covered_mask
 ones = np.ones(image_shape, complex)
 noisy = pk.add_poisson_noise(y, r_p=1e5, seed=6)
 
@@ -28,7 +27,7 @@ def run_pmace(data, alpha, kappa, descale):
                          max_iters=100, eval_every=1)
     _, trace = pk.mann_iterate(
         data, probe, grid, params, init=ones,
-        trace_target=truth, mask=mask, descale=descale,
+        trace_target=truth, descale=descale,
     )
     return trace
 
@@ -37,7 +36,7 @@ def run_sharp(data, variant, beta, descale):
     params = SharpParams(beta=beta, max_iters=100, variant=variant)
     _, trace = sharp_iterate(
         data, probe, grid, params, init=ones,
-        trace_target=truth, mask=mask, descale=descale,
+        trace_target=truth, descale=descale,
     )
     return trace[-1][1]
 

@@ -58,10 +58,11 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
-def _require(sec: dict, key: str, section: str):
-    if key not in sec:
+def _read(sec: dict, section: str, key: str, cast, default=None):
+    """``sec[key]`` through :func:`_cast`; a key without a default is required."""
+    if key not in sec and default is None:
         raise ConfigError(f"config key '{section}.{key}' is required")
-    return sec[key]
+    return _cast(sec.get(key, default), f"{section}.{key}", cast)
 
 
 def make_init(mode: str, shape: tuple[int, int], seed: int) -> np.ndarray:
@@ -78,16 +79,16 @@ def make_init(mode: str, shape: tuple[int, int], seed: int) -> np.ndarray:
 
 def cmd_simulate(cfg: dict, out_dir, seed_override: int | None, workers: int) -> int:
     sec = _section(cfg, "sim")
-    image_shape = tuple(_require(sec, "image_shape", "sim"))
-    probe_size = int(_require(sec, "probe_size", "sim"))
-    grid_dims = tuple(_require(sec, "grid_dims", "sim"))
-    spacing = int(_require(sec, "spacing", "sim"))
-    object_seed = int(sec.get("object_seed", 0))
-    probe_seed = int(sec.get("probe_seed", 1))
-    noise = bool(sec.get("noise", False))
-    r_p = float(sec.get("r_p", 1e5))
-    normalization = sec.get("normalization", "global-max")
-    noise_seed = int(sec.get("noise_seed", 0))
+    image_shape = _read(sec, "sim", "image_shape", tuple)
+    probe_size = _read(sec, "sim", "probe_size", int)
+    grid_dims = _read(sec, "sim", "grid_dims", tuple)
+    spacing = _read(sec, "sim", "spacing", int)
+    object_seed = _read(sec, "sim", "object_seed", int, 0)
+    probe_seed = _read(sec, "sim", "probe_seed", int, 1)
+    noise = _read(sec, "sim", "noise", bool, False)
+    r_p = _read(sec, "sim", "r_p", float, 1e5)
+    normalization = _read(sec, "sim", "normalization", str, "global-max")
+    noise_seed = _read(sec, "sim", "noise_seed", int, 0)
     if seed_override is not None:
         noise_seed = seed_override
 
@@ -109,8 +110,12 @@ def cmd_simulate(cfg: dict, out_dir, seed_override: int | None, workers: int) ->
 
 
 def _cast(value, key: str, cast):
+    """``value`` as ``cast``: an int must be whole, a bool a boolean, a tuple two whole numbers."""
     try:
-        if cast is int and (isinstance(value, bool) or not float(value).is_integer()):
+        if cast is tuple and isinstance(value, list) and len(value) == 2:
+            return tuple(_cast(v, key, int) for v in value)
+        if cast is tuple or (cast is bool) != isinstance(value, bool) or (
+                cast is int and not float(value).is_integer()):
             raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -126,7 +131,7 @@ def read_solver(cfg: dict):
     run inputs: data, init and init_seed.
     """
     sec = _section(cfg, "solver")
-    name = _require(sec, "name", "solver")
+    name = _read(sec, "solver", "name", str)
     if name == "pmace":
         params = pmace.PmaceParams()
     elif name in sharp.VARIANTS:
@@ -142,7 +147,7 @@ def read_solver(cfg: dict):
     if data not in ("clean", "noisy"):
         raise ConfigError(f"solver.data must be 'clean' or 'noisy', got {data!r}")
     settings = {"name": name, "data": data, "init": sec.get("init", "ones"),
-                "init_seed": _cast(sec.get("init_seed", 0), "solver.init_seed", int)}
+                "init_seed": _read(sec, "solver", "init_seed", int, 0)}
     return dataclasses.replace(params, **given), settings
 
 
@@ -150,8 +155,8 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _run(params, settings: dict, dataset: sim.Dataset, workers: int, run_dir: Path):
-    """Solve and write recon.cfld and trace.csv; return (final NRMSE, seconds)."""
+def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, workers: int, run_dir: Path):
+    """Solve and write recon.cfld, trace.csv and summary.json; return (final NRMSE, seconds)."""
     t0 = time.perf_counter()
     y, descale = dataset.clean, 1.0
     if settings["data"] == "noisy":
@@ -169,6 +174,14 @@ def _run(params, settings: dict, dataset: sim.Dataset, workers: int, run_dir: Pa
     run_dir.mkdir(exist_ok=True)
     write_cfld(run_dir / "recon.cfld", recon)
     write_trace_csv(run_dir / "trace.csv", trace)
+    _write_json(run_dir / "summary.json", {
+        "solver": dict(settings, **dataclasses.asdict(params)),
+        "dataset": str(dataset_path),
+        "iterations": params.max_iters,
+        "final_nrmse": trace[-1][1],
+        "wall_seconds": wall,
+        "workers": workers,
+    })
     return trace[-1][1], wall
 
 
@@ -179,15 +192,7 @@ def cmd_reconstruct(cfg: dict, dataset_path, out_dir, seed_override: int | None,
     dataset = sim.load_dataset(dataset_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    final, wall = _run(params, settings, dataset, workers, out)
-    _write_json(out / "summary.json", {
-        "solver": dict(settings, **dataclasses.asdict(params)),
-        "dataset": str(dataset_path),
-        "iterations": params.max_iters,
-        "final_nrmse": final,
-        "wall_seconds": wall,
-        "workers": workers,
-    })
+    final, wall = _run(params, settings, dataset_path, dataset, workers, out)
     print(f"final NRMSE {final:.6e} after {params.max_iters} iterations "
           f"({wall:.2f}s); artifacts in {out}")
     return EXIT_OK
@@ -231,7 +236,7 @@ def cmd_sweep(cfg: dict, dataset_path, out_dir, param: str, values: list[float],
     rows = []
     for name, params in runs.items():
         value = getattr(params, param)
-        final, wall = _run(params, settings, dataset, workers, out / name)
+        final, wall = _run(params, settings, dataset_path, dataset, workers, out / name)
         rows.append((value, final, wall))
         print(f"{param}={value:g}: final NRMSE {final:.6e} ({wall:.2f}s)")
     (out / "sweep.csv").write_text("value,final_nrmse,seconds\n" + "".join(

@@ -50,13 +50,9 @@ def fft2_orthonormal(
     )
 
 
-def ifft2_orthonormal(
-    f: np.ndarray, workers: int = 1, overwrite_x: bool = False
-) -> np.ndarray:
+def ifft2_orthonormal(f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Inverse of :func:`fft2_orthonormal`; same unitarity and in-place contract."""
-    return scipy.fft.ifft2(
-        f, norm="ortho", axes=(-2, -1), workers=workers, overwrite_x=overwrite_x
-    )
+    return scipy.fft.ifft2(f, norm="ortho", axes=(-2, -1), overwrite_x=overwrite_x)
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,7 @@ def check_solver_inputs(
 def iterate_stack(
     first, couple, second, stitch, s: np.ndarray, y: np.ndarray, coverage: CoverageMap,
     probe: np.ndarray, grid: ScanGrid, params, trace_target: np.ndarray | None,
-    mask: np.ndarray | None, descale: float, workers: int = 1,
+    descale: float, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """The loop both solvers share: workspace, frame blocks, trace and NaN guard.
 
@@ -214,10 +214,8 @@ def iterate_stack(
     block. Blocks run on min(workers, blocks) threads and touch only their
     own frames; the coupling runs on the calling thread, so results do not
     depend on ``workers``. ``stitch(s, probe, coverage, grid, out=image)``
-    gives the image for the trace and the result.
+    gives the result and the image whose NRMSE over the covered region is traced.
     """
-    if mask is None:
-        mask = coverage.covered_mask
     a, b = np.empty_like(s), np.empty_like(s)
     image = np.empty(grid.image_shape, dtype=np.complex128)
     blocks = [slice(i, i + BLOCK_FRAMES) for i in range(0, len(s), BLOCK_FRAMES)]
@@ -235,7 +233,7 @@ def iterate_stack(
     def record(iteration: int) -> None:
         err = float("nan")
         if trace_target is not None:
-            err = nrmse_phase_aligned(descaled_image(), trace_target, mask)
+            err = nrmse_phase_aligned(descaled_image(), trace_target, coverage.covered_mask)
         rows.append((iteration, err, time.perf_counter() - start))
 
     # np.errstate is per thread; the block threads take the caller's
@@ -260,7 +258,6 @@ def mann_iterate(
     params: PmaceParams,
     init: np.ndarray,
     trace_target: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
     descale: float = 1.0,
     workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
@@ -274,8 +271,9 @@ def mann_iterate(
     back-projection of the final v, divided by `descale` (the simulator's
     amplitude scale factor for noisy data; 1 for noise-free data). The
     trace records phase-aligned NRMSE against `trace_target` (after the
-    same de-scaling) every `eval_every` iterations plus iterations 0 and
-    max_iters; without a target the NRMSE column is NaN.
+    same de-scaling) over the probe-covered region every `eval_every`
+    iterations plus iterations 0 and max_iters; without a target the NRMSE
+    column is NaN.
 
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
@@ -297,5 +295,5 @@ def mann_iterate(
 
     return iterate_stack(
         first, couple, second, stitch_weighted, extract_stack(init, grid), y, coverage,
-        probe, grid, params, trace_target, mask, descale, workers,
+        probe, grid, params, trace_target, descale, workers,
     )

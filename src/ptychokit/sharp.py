@@ -124,7 +124,6 @@ def sharp_iterate(
     params: SharpParams,
     init: np.ndarray,
     trace_target: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
     descale: float = 1.0,
     workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
@@ -148,5 +147,5 @@ def sharp_iterate(
     np.multiply(probe, frames, out=frames)
     return iterate_stack(
         first, couple, second, stitch_frames, frames, y, coverage2,
-        probe, grid, params, trace_target, mask, descale, workers,
+        probe, grid, params, trace_target, descale, workers,
     )

@@ -72,46 +72,36 @@ def _smooth_unit_field(rng: np.random.Generator, shape, cutoff: float) -> np.nda
     return (s - s.min()) / (s.max() - s.min())
 
 
-def synth_object(shape: tuple[int, int], seed: int, smoothness: float = 1 / 16) -> np.ndarray:
+def synth_object(shape: tuple[int, int], seed: int) -> np.ndarray:
     """Deterministic smooth complex transmittance image.
 
     Amplitude lies in [0.5, 1.0] and phase in [-pi/2, pi/2]; both are
-    band-limited random fields so recovery from overlapping patches is
-    well-posed.
+    random fields band-limited by a Gaussian of width 1/16 of the full
+    band, so recovery from overlapping patches is well-posed.
 
     :param shape: (N1, N2) image dimensions.
     :param seed: generator seed; equal seeds give identical images.
-    :param smoothness: spectral cutoff as a fraction of the full band.
     """
     rng = np.random.default_rng(seed)
-    amp = 0.5 + 0.5 * _smooth_unit_field(rng, shape, smoothness)
-    pha = -np.pi / 2 + np.pi * _smooth_unit_field(rng, shape, smoothness)
+    amp = 0.5 + 0.5 * _smooth_unit_field(rng, shape, 1 / 16)
+    pha = -np.pi / 2 + np.pi * _smooth_unit_field(rng, shape, 1 / 16)
     return amp * np.exp(1j * pha)
 
 
-def synth_probe(
-    size: int,
-    seed: int,
-    floor: float = 0.25,
-    profile_frac: float = 0.8,
-    quad_phase: float = np.pi,
-    astig_phase: float = np.pi / 4,
-) -> np.ndarray:
+def synth_probe(size: int, seed: int) -> np.ndarray:
     """Deterministic circular-aperture probe with quadratic phase.
 
     Amplitude is 1 out to radius 0.4*size, rolls off smoothly (raised
-    cosine down to `floor`) over a band of 0.05*size, and is exactly 0
-    beyond the aperture stop. Every pixel inside the aperture keeps at
-    least `floor` of the peak amplitude, which keeps the weighted
-    consensus operators well conditioned at patch edges. Phase is a
-    seeded quadratic form: isotropic defocus plus mild astigmatism.
+    cosine down to a floor of 0.25) over a band of 0.05*size, and is
+    exactly 0 beyond the aperture stop; all of it lies under a Gaussian
+    envelope exp(-(r / 0.8 size)^2). Every pixel inside the aperture keeps
+    at least 0.25 of the envelope's amplitude, which keeps the weighted
+    consensus operators well conditioned at patch edges. Phase is a seeded
+    quadratic form: isotropic defocus of pi*[0.75, 1.25) radians at the
+    aperture radius plus astigmatism of up to pi/4 radians.
 
     :param size: probe side length, at least 8.
     :param seed: generator seed.
-    :param floor: minimum relative amplitude inside the aperture.
-    :param profile_frac: width of the overall Gaussian envelope.
-    :param quad_phase: scale of the isotropic quadratic phase (radians).
-    :param astig_phase: scale of the astigmatic quadratic phase (radians).
     """
     if size < 8:
         raise ValueError("probe size must be at least 8")
@@ -128,14 +118,14 @@ def synth_probe(
         1.0,
         np.where(
             r < radius + band,
-            floor + (1 - floor) * 0.5 * (1 + np.cos(np.pi * (r - radius) / band)),
+            0.25 + 0.75 * 0.5 * (1 + np.cos(np.pi * (r - radius) / band)),
             0.0,
         ),
     )
-    envelope = np.exp(-((r / (profile_frac * size)) ** 2))
+    envelope = np.exp(-((r / (0.8 * size)) ** 2))
     amp = envelope * edge
-    defocus = quad_phase * (0.75 + 0.5 * rng.random())
-    astig = astig_phase * (rng.random() - 0.5) * 2
+    defocus = np.pi * (0.75 + 0.5 * rng.random())
+    astig = np.pi / 4 * (rng.random() - 0.5) * 2
     phase = defocus * (r / radius) ** 2 + astig * (u**2 - v**2) / radius**2
     return amp * np.exp(1j * phase)
 
@@ -259,17 +249,31 @@ class Dataset:
     clean: np.ndarray
     noisy: np.ndarray | None
     scale_factor: float
-    manifest: dict
+
+
+# The manifest keys load_dataset reads, each with the test its JSON value must pass.
+_MANIFEST_KEYS = {
+    "image_shape": lambda v: type(v) is list and list(map(type, v)) == [int, int],
+    "probe_size": lambda v: type(v) is int,
+    "grid_dims": lambda v: type(v) is list and list(map(type, v)) == [int, int],
+    "spacing": lambda v: type(v) is int,
+    "noise": lambda v: type(v) is bool,
+    "scale_factor": lambda v: type(v) in (int, float) and 0 < v < np.inf,
+}
 
 
 def load_dataset(path) -> Dataset:
-    """Load a dataset directory written by :func:`write_dataset`."""
+    """Load a dataset directory written by :func:`write_dataset`; check its manifest first."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {root}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path} does not hold a JSON object")
+    for key, valid in _MANIFEST_KEYS.items():
+        if key not in manifest or not valid(manifest[key]):
+            problem = f"has invalid value {manifest[key]!r}" if key in manifest else "is missing"
+            raise ValueError(f"{manifest_path}: key '{key}' {problem}")
     truth = read_cfld(root / TRUTH_NAME)
     probe = read_cfld(root / PROBE_NAME)
     if truth.shape != tuple(manifest["image_shape"]):
@@ -284,10 +288,7 @@ def load_dataset(path) -> Dataset:
             f"{list(probe.shape)}"
         )
     grid = make_scan_grid(
-        tuple(manifest["image_shape"]),
-        manifest["probe_size"],
-        tuple(manifest["grid_dims"]),
-        manifest["spacing"],
+        truth.shape, n, tuple(manifest["grid_dims"]), manifest["spacing"]
     )
     J = len(grid)
     clean = np.stack([read_cfld(root / _amplitude_name(j, False)).real for j in range(J)])
@@ -300,6 +301,5 @@ def load_dataset(path) -> Dataset:
         grid=grid,
         clean=clean,
         noisy=noisy,
-        scale_factor=float(manifest.get("scale_factor", 1.0)),
-        manifest=manifest,
+        scale_factor=float(manifest["scale_factor"]),
     )

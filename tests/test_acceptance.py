@@ -143,14 +143,14 @@ def test_criterion_03_ground_truth_fixed_points(desk):
     _, rows = pk.mann_iterate(
         desk["y"], desk["probe"], desk["grid"],
         PmaceParams(alpha=0.0, rho=0.5, kappa=1.25, max_iters=20),
-        init=desk["truth"], trace_target=desk["truth"], mask=desk["mask"],
+        init=desk["truth"], trace_target=desk["truth"],
     )
     worst["pmace"] = max(err for _, err, _ in rows)
     for variant in ("sharp", "sharp_plus"):
         _, rows = sharp_iterate(
             desk["y"], desk["probe"], desk["grid"],
             SharpParams(beta=0.45, max_iters=20, variant=variant),
-            init=desk["truth"], trace_target=desk["truth"], mask=desk["mask"],
+            init=desk["truth"], trace_target=desk["truth"],
         )
         worst[variant] = max(err for _, err, _ in rows)
     elapsed = time.perf_counter() - t0
@@ -170,7 +170,7 @@ def test_criterion_04_noise_free_recovery(desk):
     _, rows = pk.mann_iterate(
         desk["y"], desk["probe"], desk["grid"], params,
         init=np.ones(DESK_SHAPE, complex),
-        trace_target=desk["truth"], mask=desk["mask"],
+        trace_target=desk["truth"],
     )
     final = rows[-1][1]
     elapsed = time.perf_counter() - t0
@@ -188,7 +188,7 @@ def _pmace_trace(desk, y, alpha, kappa, descale):
     _, rows = pk.mann_iterate(
         y, desk["probe"], desk["grid"], params,
         init=np.ones(DESK_SHAPE, complex),
-        trace_target=desk["truth"], mask=desk["mask"], descale=descale,
+        trace_target=desk["truth"], descale=descale,
     )
     return rows
 
@@ -198,7 +198,7 @@ def _sharp_final(desk, y, variant, beta, descale):
     _, rows = sharp_iterate(
         y, desk["probe"], desk["grid"], params,
         init=np.ones(DESK_SHAPE, complex),
-        trace_target=desk["truth"], mask=desk["mask"], descale=descale,
+        trace_target=desk["truth"], descale=descale,
     )
     return rows[-1][1]
 

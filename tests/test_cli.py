@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -47,22 +49,46 @@ SOLVER_KEYS = ("name", "alpha", "rho", "kappa", "beta", "iterations", "eval_ever
                "init", "init_seed", "data")
 
 
+def any_value(numbers=st.integers() | st.floats(), text=st.text(max_size=6), ints=st.integers()):
+    """An int or float from ``numbers``, a string, a list of ``ints``, a mapping or null."""
+    return st.one_of(
+        numbers, text, st.lists(ints, max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.none(),
+    )
+
+
 def solver_value(key):
-    """An int, float, string, list, mapping or null for one solver key.
+    """:func:`any_value` for one solver key.
 
     Values for ``iterations`` stay small (a one-character string is at
     most 9) so that every example runs quickly.
     """
     if key == "iterations":
         numbers = st.integers(-2, 6) | st.floats(-2, 6) | st.sampled_from([np.nan, np.inf])
-        text = st.text(max_size=1)
+        return any_value(numbers, st.text(max_size=1))
+    return any_value()
+
+
+MANIFEST_KEYS = ("image_shape", "probe_size", "num_patterns", "grid_dims", "spacing", "seed",
+                 "noise", "r_p", "normalization", "scale_factor")
+
+# Drawn in place of a value: the key is deleted instead.
+DELETE = object()
+
+
+def set_or_delete(mapping, key, value):
+    if value is DELETE:
+        del mapping[key]
     else:
-        numbers = st.integers() | st.floats()
-        text = st.text(max_size=6)
-    return st.one_of(
-        numbers, text, st.lists(st.integers(), max_size=2),
-        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.none(),
-    )
+        mapping[key] = value
+
+
+def main_quietly(argv):
+    """(exit code, stderr) of one in-process run, standard output discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def write_config(path, sim=None, solver=None, **extra):
@@ -248,7 +274,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", [1]), ("alpha", {"a": 1}), ("iterations", [5]), ("init_seed", "x"),
-        ("eval_every", float("inf")),
+        ("eval_every", float("inf")), ("alpha", True),
     ])
     def test_solver_value_of_wrong_type_exits_2(self, tmp_path, dataset_dir, capsys, key, value):
         code, out = self.run(tmp_path, dataset_dir, {key: value})
@@ -361,6 +387,19 @@ class TestSweep:
         for sub in ("alpha_0", "alpha_0.5"):
             assert (out / sub / "recon.cfld").exists()
             assert (out / sub / "trace.csv").exists()
+
+    def test_each_run_directory_has_a_summary(self, tmp_path, dataset_dir):
+        code, out = self.run(
+            tmp_path, dataset_dir, ["--param", "alpha", "--values", "0.0,0.5"]
+        )
+        assert code == 0
+        for line in (out / "sweep.csv").read_text().splitlines()[1:]:
+            value, final, _ = map(float, line.split(","))
+            summary = json.loads((out / f"alpha_{value:g}" / "summary.json").read_text())
+            assert summary["solver"]["alpha"] == value
+            assert summary["final_nrmse"] == final
+            assert summary["iterations"] == 10
+            assert summary["dataset"] == str(dataset_dir)
 
     def test_argmin_reported(self, tmp_path, dataset_dir):
         code, out = self.run(
@@ -506,6 +545,68 @@ class TestConfigErrors:
                  "--out", str(Path(tmp) / "o")]
             )
         assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("key, value", [
+        ("image_shape", 5), ("grid_dims", [3]), ("spacing", 8.5), ("noise", "off"),
+        ("image_shape", [48, 48.5]), ("probe_size", True), ("noise_seed", [9]),
+        ("r_p", [1e5]),
+    ])
+    def test_sim_value_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, **{key: value}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key 'sim.{key}'") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(tuple(SIM_SECTION)))
+    def test_mutated_sim_key_exits_0_or_2(self, data, key):
+        # image_shape entries stay small, so no example allocates a large image
+        ints = st.integers(-64, 64) if key == "image_shape" else st.integers()
+        sim = dict(SIM_SECTION)
+        set_or_delete(sim, key, data.draw(any_value(ints=ints) | st.just(DELETE), label=key))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp) / "c.yaml", sim=sim, workers=1)
+            code, err = main_quietly(["simulate", "--config", cfg, "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2)
+        assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
+
+    @pytest.mark.parametrize("value", [DELETE, "8", 8.0, None])
+    def test_manifest_spacing_missing_or_mistyped_exits_2(
+        self, tmp_path, dataset_dir, capsys, value
+    ):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        set_or_delete(manifest, "spacing", value)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=1)
+        assert main(
+            ["reconstruct", "--config", cfg, "--dataset", str(data),
+             "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest.json" in err and "'spacing'" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(MANIFEST_KEYS))
+    def test_mutated_manifest_key_exits_0_or_2(self, dataset_dir, data, key):
+        solver = dict(SOLVER_SECTION, iterations=2, data="noisy")
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = Path(tmp) / "ds"
+            shutil.copytree(dataset_dir, ds)
+            manifest = json.loads((ds / "manifest.json").read_text())
+            set_or_delete(manifest, key, data.draw(any_value() | st.just(DELETE), label=key))
+            (ds / "manifest.json").write_text(json.dumps(manifest))
+            cfg = write_config(Path(tmp) / "c.yaml", solver=solver, workers=1)
+            code, err = main_quietly(["reconstruct", "--config", cfg, "--dataset", str(ds),
+                                      "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2)
+        assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
 
     @pytest.mark.parametrize("workers", [[1], {"a": 1}, 2.7, True])
     def test_worker_count_that_is_not_whole_exits_2(

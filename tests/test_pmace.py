@@ -174,7 +174,7 @@ class TestMannIterate:
         params = PmaceParams(alpha=0.0, rho=0.5, kappa=1.25, max_iters=20)
         _, rows = pk.mann_iterate(
             small["y"], small["probe"], small["grid"], params,
-            init=small["truth"], trace_target=small["truth"], mask=small["mask"],
+            init=small["truth"], trace_target=small["truth"],
         )
         assert max(err for _, err, _ in rows) < 1e-10
 
@@ -195,7 +195,7 @@ class TestMannIterate:
         _, rows = pk.mann_iterate(
             desk["y"], desk["probe"], desk["grid"], params,
             init=np.ones(desk["truth"].shape, complex),
-            trace_target=desk["truth"], mask=desk["mask"],
+            trace_target=desk["truth"],
         )
         err = {it: e for it, e, _ in rows}
         assert err[100] < 1e-2

@@ -105,7 +105,7 @@ class TestSharpIterate:
         params = SharpParams(beta=0.45, max_iters=20, variant=variant)
         _, rows = sharp_iterate(
             small["y"], small["probe"], small["grid"], params,
-            init=small["truth"], trace_target=small["truth"], mask=small["mask"],
+            init=small["truth"], trace_target=small["truth"],
         )
         assert max(err for _, err, _ in rows) < 1e-8
 
@@ -129,7 +129,7 @@ class TestSharpIterate:
             _, rows = sharp_iterate(
                 desk["y"], desk["probe"], desk["grid"], params,
                 init=np.ones(desk["truth"].shape, complex),
-                trace_target=desk["truth"], mask=desk["mask"],
+                trace_target=desk["truth"],
             )
             final[variant] = rows[-1][1]
         assert final["sharp_plus"] < 1e-1

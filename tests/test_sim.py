@@ -256,6 +256,36 @@ class TestDatasetIo:
         with pytest.raises(ValueError):
             pk.load_dataset(out)
 
+    @pytest.mark.parametrize("key, value", [
+        ("image_shape", [48]), ("image_shape", [48, 48.0]), ("probe_size", "16"),
+        ("grid_dims", 3), ("spacing", "8"), ("spacing", True), ("noise", 1),
+        ("scale_factor", 0), ("scale_factor", [1.0]),
+    ])
+    def test_mistyped_manifest_key_rejected(self, tmp_path, small, key, value):
+        out, _ = self._write(tmp_path, small, with_noise=True)
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        manifest[key] = value
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"manifest.json: key '{key}' has invalid value"):
+            pk.load_dataset(out)
+
+    @pytest.mark.parametrize(
+        "key", ["image_shape", "probe_size", "grid_dims", "spacing", "noise", "scale_factor"]
+    )
+    def test_missing_manifest_key_rejected(self, tmp_path, small, key):
+        out, _ = self._write(tmp_path, small, with_noise=True)
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        del manifest[key]
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"manifest.json: key '{key}' is missing"):
+            pk.load_dataset(out)
+
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path, small):
+        out, _ = self._write(tmp_path, small, with_noise=False)
+        (out / MANIFEST_NAME).write_text("[1, 2]")
+        with pytest.raises(ValueError, match="does not hold a JSON object"):
+            pk.load_dataset(out)
+
     def test_probe_shape_checked_against_manifest(self, tmp_path, small):
         out, _ = self._write(tmp_path, small, with_noise=False)
         pk.write_cfld(out / PROBE_NAME, small["probe"][:, :1])
