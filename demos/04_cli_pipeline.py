@@ -39,7 +39,6 @@ config = {
         "init": "ones",
         "data": "clean",
     },
-    "workers": 4,
 }
 cfg_path = ROOT / "experiment.yaml"
 cfg_path.write_text(yaml.safe_dump(config))
@@ -49,11 +48,12 @@ run = ROOT / "run"
 sweep = ROOT / "alpha_sweep"
 
 print("== simulate ==")
-assert main(["simulate", "--config", str(cfg_path), "--out", str(dataset)]) == 0
+assert main(["simulate", "--config", str(cfg_path), "--out", str(dataset),
+             "--workers", "4"]) == 0
 
 print("\n== reconstruct ==")
 assert main(["reconstruct", "--config", str(cfg_path), "--dataset", str(dataset),
-             "--out", str(run)]) == 0
+             "--out", str(run), "--workers", "4"]) == 0
 
 print("\n== evaluate the stored reconstruction ==")
 assert main(["evaluate", "--recon", str(run / "recon.cfld"),
@@ -65,7 +65,7 @@ config["solver"]["data"] = "noisy"
 noisy_cfg.write_text(yaml.safe_dump(config))
 assert main(["sweep", "--config", str(noisy_cfg), "--dataset", str(dataset),
              "--out", str(sweep), "--param", "alpha",
-             "--values", "0.2,0.5,0.8"]) == 0
+             "--values", "0.2,0.5,0.8", "--workers", "4"]) == 0
 
 print("\nartifacts:")
 for path in sorted(ROOT.rglob("*")):

@@ -4,6 +4,10 @@ Subcommands: simulate (write a synthetic dataset), reconstruct (run a
 solver against a dataset), sweep (reconstruct across one parameter's
 values), evaluate (phase-aligned NRMSE of a stored reconstruction).
 
+The config file says what to compute (geometry, seeds, solver values);
+``--out`` and ``--workers`` say where the output goes and on how many
+threads, and each setting has only that one source.
+
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure (NaN in
 solver iterates).
 """
@@ -77,7 +81,7 @@ def make_init(mode: str, shape: tuple[int, int], seed: int) -> np.ndarray:
     raise ConfigError(f"unknown init mode {mode!r} (expected 'ones' or 'random')")
 
 
-def cmd_simulate(cfg: dict, out_dir, seed_override: int | None, workers: int) -> int:
+def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
     sec = _section(cfg, "sim")
     image_shape = _read(sec, "sim", "image_shape", tuple)
     probe_size = _read(sec, "sim", "probe_size", int)
@@ -89,8 +93,6 @@ def cmd_simulate(cfg: dict, out_dir, seed_override: int | None, workers: int) ->
     r_p = _read(sec, "sim", "r_p", float, 1e5)
     normalization = _read(sec, "sim", "normalization", str, "global-max")
     noise_seed = _read(sec, "sim", "noise_seed", int, 0)
-    if seed_override is not None:
-        noise_seed = seed_override
 
     grid = sim.make_scan_grid(image_shape, probe_size, grid_dims, spacing)
     x = sim.synth_object(image_shape, object_seed)
@@ -171,7 +173,7 @@ def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, workers: in
         trace_target=dataset.truth, descale=descale, workers=workers,
     )
     wall = time.perf_counter() - t0
-    run_dir.mkdir(exist_ok=True)
+    run_dir.mkdir(parents=True, exist_ok=True)
     write_cfld(run_dir / "recon.cfld", recon)
     write_trace_csv(run_dir / "trace.csv", trace)
     _write_json(run_dir / "summary.json", {
@@ -185,35 +187,23 @@ def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, workers: in
     return trace[-1][1], wall
 
 
-def cmd_reconstruct(cfg: dict, dataset_path, out_dir, seed_override: int | None, workers: int) -> int:
+def cmd_reconstruct(cfg: dict, dataset_path, out_dir, workers: int) -> int:
     params, settings = read_solver(cfg)
-    if seed_override is not None:
-        settings["init_seed"] = seed_override
     dataset = sim.load_dataset(dataset_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     final, wall = _run(params, settings, dataset_path, dataset, workers, out)
     print(f"final NRMSE {final:.6e} after {params.max_iters} iterations "
           f"({wall:.2f}s); artifacts in {out}")
     return EXIT_OK
 
 
-def _sweep_values(args) -> list[float]:
-    vals = []
-    if args.values:
-        try:
-            vals = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse --values: {exc}") from exc
-    elif args.log_range:
-        lo, hi, n = args.log_range
-        if lo <= 0 or hi <= 0:
-            raise ConfigError("--log-range endpoints must be positive")
-        if not (n >= 1 and n.is_integer()):
-            raise ConfigError(f"--log-range N must be a whole number of at least 1, got {n:g}")
-        vals = list(np.geomspace(lo, hi, int(n)))
+def _sweep_values(text: str) -> list[float]:
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --values: {exc}") from exc
     if not vals:
-        raise ConfigError("sweep needs a nonempty value list (--values or --log-range)")
+        raise ConfigError("sweep needs a nonempty --values list")
     return vals
 
 
@@ -232,7 +222,6 @@ def cmd_sweep(cfg: dict, dataset_path, out_dir, param: str, values: list[float],
         runs[name] = dataclasses.replace(base, **{param: value})
     dataset = sim.load_dataset(dataset_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, params in runs.items():
         value = getattr(params, param)
@@ -273,27 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="write a synthetic dataset directory")
-    p_sim.add_argument("--config", required=True, help="YAML experiment config")
-    p_sim.add_argument("--out", help="dataset output directory (default: config 'output')")
-    p_sim.add_argument("--seed", type=int, help="override the noise seed")
-    p_sim.add_argument("--workers", type=int, help=WORKERS_HELP)
-
     p_rec = sub.add_parser("reconstruct", help="run a solver against a dataset")
-    p_rec.add_argument("--config", required=True)
-    p_rec.add_argument("--dataset", required=True, help="dataset directory from 'simulate'")
-    p_rec.add_argument("--out", help="artifact output directory (default: config 'output')")
-    p_rec.add_argument("--seed", type=int, help="override the init seed")
-    p_rec.add_argument("--workers", type=int, help=WORKERS_HELP)
-
     p_swp = sub.add_parser("sweep", help="reconstruct across one parameter's values")
-    p_swp.add_argument("--config", required=True)
+    for p, what in ((p_sim, "dataset"), (p_rec, "artifact"), (p_swp, "artifact")):
+        p.add_argument("--config", required=True, help="YAML experiment config")
+        p.add_argument("--out", required=True, help=f"{what} output directory")
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=WORKERS_HELP)
+    p_rec.add_argument("--dataset", required=True, help="dataset directory from 'simulate'")
     p_swp.add_argument("--dataset", required=True)
-    p_swp.add_argument("--out", help="artifact output directory (default: config 'output')")
     p_swp.add_argument("--param", required=True, choices=SWEEP_PARAMS)
-    p_swp.add_argument("--values", help="comma-separated values, e.g. 0.1,0.2,0.5")
-    p_swp.add_argument("--log-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
-                       help="log-spaced grid from LO to HI with N points")
-    p_swp.add_argument("--workers", type=int, help=WORKERS_HELP)
+    p_swp.add_argument("--values", required=True, help="comma-separated values, e.g. 0.1,0.2,0.5")
 
     p_eval = sub.add_parser("evaluate", help="NRMSE of a stored reconstruction")
     p_eval.add_argument("--recon", required=True, help="reconstruction CFLD file")
@@ -302,35 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(args, cfg) -> str:
-    out = getattr(args, "out", None) or cfg.get("output")
-    if not out:
-        raise ConfigError("no output directory: pass --out or set 'output' in the config")
-    return out
-
-
-def _resolve_workers(args, cfg) -> int:
-    w = cfg.get("workers") if args.workers is None else args.workers
-    w = _cast((os.cpu_count() or 1) if w is None else w, "workers", int)
-    if w < 1:
-        raise ConfigError("workers must be at least 1")
-    return w
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "evaluate":
             return cmd_evaluate(args.recon, args.dataset)
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         cfg = load_config(args.config)
-        workers = _resolve_workers(args, cfg)
-        out = _resolve_out(args, cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.seed, workers)
+            return cmd_simulate(cfg, args.out, args.workers)
         if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.dataset, out, args.seed, workers)
-        return cmd_sweep(cfg, args.dataset, out, args.param, _sweep_values(args), workers)
-    except (ConfigError, OSError, ValueError, NumericalFailure) as exc:
+            return cmd_reconstruct(cfg, args.dataset, args.out, args.workers)
+        return cmd_sweep(cfg, args.dataset, args.out, args.param, _sweep_values(args.values),
+                         args.workers)
+    except (ConfigError, OSError, ValueError, MemoryError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else EXIT_CONFIG
 

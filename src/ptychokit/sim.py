@@ -267,7 +267,10 @@ def load_dataset(path) -> Dataset:
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path} does not hold a JSON object")
     for key, valid in _MANIFEST_KEYS.items():

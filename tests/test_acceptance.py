@@ -5,6 +5,7 @@ single "ACCEPTANCE n PASS/FAIL" line (echoed in the terminal summary)
 with the measured numbers and wall time against a fixed budget.
 """
 
+import json
 import math
 import time
 
@@ -263,13 +264,13 @@ def test_criterion_06_rho_invariance(tmp_path):
         "iterations": 300, "eval_every": 300, "init": "ones", "data": "clean",
     }
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({"sim": sim, "solver": solver, "workers": 1}))
+    cfg.write_text(yaml.safe_dump({"sim": sim, "solver": solver}))
     ds = tmp_path / "ds"
-    assert main(["simulate", "--config", str(cfg), "--out", str(ds)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(ds), "--workers", "1"]) == 0
     out = tmp_path / "sweep"
     assert main(
         ["sweep", "--config", str(cfg), "--dataset", str(ds), "--out", str(out),
-         "--param", "rho", "--values", "0.3,0.5,0.7"]
+         "--param", "rho", "--values", "0.3,0.5,0.7", "--workers", "1"]
     ) == 0
 
     dataset = pk.load_dataset(ds)
@@ -379,18 +380,16 @@ def test_criterion_09_determinism_across_workers(tmp_path):
         "noise": True, "r_p": R_P, "normalization": "global-max",
         "noise_seed": NOISE_SEED,
     }
-    base = {"sim": sim, "workers": 1}
 
-    def write_cfg(name, extra):
+    def write_cfg(name, **sections):
         path = tmp_path / name
-        path.write_text(yaml.safe_dump({**base, **extra}))
+        path.write_text(yaml.safe_dump({"sim": sim, **sections}))
         return str(path)
 
-    cfg1 = write_cfg("w1.yaml", {"workers": 1})
-    cfg8 = write_cfg("w8.yaml", {"workers": 8})
+    cfg = write_cfg("sim.yaml")
     ds1, ds8 = tmp_path / "ds1", tmp_path / "ds8"
-    assert main(["simulate", "--config", cfg1, "--out", str(ds1)]) == 0
-    assert main(["simulate", "--config", cfg8, "--out", str(ds8)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(ds1), "--workers", "1"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(ds8), "--workers", "8"]) == 0
     dataset_same = dir_bytes(ds1) == dir_bytes(ds8)
 
     runs_same = True
@@ -399,15 +398,14 @@ def test_criterion_09_determinism_across_workers(tmp_path):
         {"name": "sharp_plus", "beta": 0.6, "iterations": 30, "data": "noisy"},
     ):
         outs = {}
+        cfg = write_cfg(f"{solver['name']}.yaml", solver=solver)
         for tag, workers in (("w1", 1), ("w8", 8), ("rerun", 1)):
-            cfg = write_cfg(
-                f"{solver['name']}_{tag}.yaml", {"solver": solver, "workers": workers}
-            )
             out = tmp_path / f"{solver['name']}_{tag}"
             assert main(
                 ["reconstruct", "--config", cfg, "--dataset", str(ds1),
-                 "--out", str(out)]
+                 "--out", str(out), "--workers", str(workers)]
             ) == 0
+            assert json.loads((out / "summary.json").read_text())["workers"] == workers
             outs[tag] = out
         recon = {t: (p / "recon.cfld").read_bytes() for t, p in outs.items()}
         trace = {t: trace_bytes_without_seconds(p / "trace.csv") for t, p in outs.items()}

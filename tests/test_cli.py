@@ -91,8 +91,8 @@ def main_quietly(argv):
     return code, err.getvalue()
 
 
-def write_config(path, sim=None, solver=None, **extra):
-    cfg = dict(extra)
+def write_config(path, sim=None, solver=None):
+    cfg = {}
     if sim is not None:
         cfg["sim"] = sim
     if solver is not None:
@@ -105,9 +105,9 @@ def write_config(path, sim=None, solver=None, **extra):
 def dataset_dir(tmp_path_factory):
     """One simulated small dataset shared by the reconstruct/sweep tests."""
     root = tmp_path_factory.mktemp("data")
-    cfg = write_config(root / "sim.yaml", sim=dict(SIM_SECTION), workers=1)
+    cfg = write_config(root / "sim.yaml", sim=dict(SIM_SECTION))
     out = root / "ds"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
     return out
 
 
@@ -131,35 +131,28 @@ class TestSimulate:
 
     def test_noise_off_omits_noisy_files(self, tmp_path):
         sim = dict(SIM_SECTION, noise=False)
-        cfg = write_config(tmp_path / "c.yaml", sim=sim, workers=1)
+        cfg = write_config(tmp_path / "c.yaml", sim=sim)
         out = tmp_path / "ds"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
         assert not list(out.glob("yn_*.cfld"))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["noise"] is False and manifest["r_p"] is None
 
     def test_rerun_is_byte_identical(self, tmp_path, dataset_dir):
-        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION), workers=1)
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION))
         out = tmp_path / "ds2"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
         assert dir_bytes(out) == dir_bytes(dataset_dir)
 
-    def test_seed_flag_overrides_noise_stream_only(self, tmp_path, dataset_dir):
-        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION), workers=1)
+    def test_noise_seed_changes_noise_stream_only(self, tmp_path, dataset_dir):
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, noise_seed=77))
         out = tmp_path / "ds3"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "77"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
         base = dir_bytes(dataset_dir)
         other = dir_bytes(out)
         assert other["truth.cfld"] == base["truth.cfld"]
         assert other["y_0000.cfld"] == base["y_0000.cfld"]
         assert other["yn_0000.cfld"] != base["yn_0000.cfld"]
-
-    def test_output_from_config_key(self, tmp_path):
-        sim = dict(SIM_SECTION, noise=False)
-        out = tmp_path / "from_config"
-        cfg = write_config(tmp_path / "c.yaml", sim=sim, workers=1, output=str(out))
-        assert main(["simulate", "--config", cfg]) == 0
-        assert (out / "manifest.json").exists()
 
     def test_full_overlap_geometry(self, tmp_path):
         # 8x8 grid of 256-pixel patches spaced 56 inside a 660-pixel image
@@ -167,21 +160,21 @@ class TestSimulate:
             "image_shape": [660, 660], "probe_size": 256, "grid_dims": [8, 8],
             "spacing": 56, "object_seed": 1, "probe_seed": 2, "noise": False,
         }
-        cfg = write_config(tmp_path / "c.yaml", sim=sim, workers=2)
+        cfg = write_config(tmp_path / "c.yaml", sim=sim)
         out = tmp_path / "big"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
         assert len(list(out.glob("y_*.cfld"))) == 64
 
 
 class TestReconstruct:
-    def run(self, tmp_path, dataset_dir, solver_overrides=None, extra_args=(), workers=1):
+    def run(self, tmp_path, dataset_dir, solver_overrides=None, workers=1):
         tmp_path.mkdir(parents=True, exist_ok=True)
         solver = dict(SOLVER_SECTION, **(solver_overrides or {}))
-        cfg = write_config(tmp_path / "run.yaml", solver=solver, workers=workers)
+        cfg = write_config(tmp_path / "run.yaml", solver=solver)
         out = tmp_path / "run"
         code = main(
             ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
-             "--out", str(out), *extra_args]
+             "--out", str(out), "--workers", str(workers)]
         )
         return code, out
 
@@ -221,10 +214,9 @@ class TestReconstruct:
 
     def test_random_init_seed_override(self, tmp_path, dataset_dir):
         runs = {}
-        for tag, seed in (("a", "1"), ("b", "1"), ("c", "2")):
+        for tag, seed in (("a", 1), ("b", 1), ("c", 2)):
             _, out = self.run(
-                tmp_path / tag, dataset_dir,
-                {"init": "random", "iterations": 5}, extra_args=("--seed", seed),
+                tmp_path / tag, dataset_dir, {"init": "random", "iterations": 5, "init_seed": seed}
             )
             runs[tag] = (out / "recon.cfld").read_bytes()
         assert runs["a"] == runs["b"]
@@ -233,6 +225,8 @@ class TestReconstruct:
     def test_worker_count_does_not_change_artifacts(self, tmp_path, dataset_dir):
         _, out1 = self.run(tmp_path / "w1", dataset_dir, workers=1)
         _, out8 = self.run(tmp_path / "w8", dataset_dir, workers=8)
+        for out, workers in ((out1, 1), (out8, 8)):
+            assert json.loads((out / "summary.json").read_text())["workers"] == workers
         assert (out1 / "recon.cfld").read_bytes() == (out8 / "recon.cfld").read_bytes()
         assert trace_bytes_without_seconds(out1 / "trace.csv") == trace_bytes_without_seconds(
             out8 / "trace.csv"
@@ -262,11 +256,12 @@ class TestReconstruct:
 
     def test_noisy_request_without_noisy_data_exits_2(self, tmp_path):
         sim = dict(SIM_SECTION, noise=False)
-        cfg = write_config(tmp_path / "sim.yaml", sim=sim, workers=1)
+        cfg = write_config(tmp_path / "sim.yaml", sim=sim)
         ds = tmp_path / "ds"
-        assert main(["simulate", "--config", cfg, "--out", str(ds)]) == 0
-        code, _ = self.run(tmp_path, ds, {"data": "noisy"})
+        assert main(["simulate", "--config", cfg, "--out", str(ds), "--workers", "1"]) == 0
+        code, out = self.run(tmp_path, ds, {"data": "noisy"})
         assert code == 2
+        assert not out.exists()
 
     def test_invalid_solver_param_exits_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, {"rho": 1.5})
@@ -300,13 +295,15 @@ class TestReconstruct:
         shutil.copytree(dataset_dir, data)
         probe = pk.read_cfld(data / "probe.cfld")
         pk.write_cfld(data / "probe.cfld", np.zeros_like(probe))
-        code, _ = self.run(tmp_path, data)
+        code, out = self.run(tmp_path, data)
         assert code == 2
         assert capsys.readouterr().err == "error: probe is zero everywhere\n"
+        assert not out.exists()
 
     def test_bad_init_mode_exits_2(self, tmp_path, dataset_dir):
-        code, _ = self.run(tmp_path, dataset_dir, {"init": "zeros"})
+        code, out = self.run(tmp_path, dataset_dir, {"init": "zeros"})
         assert code == 2
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_amplitudes_exit_3(self, tmp_path, dataset_dir):
@@ -317,8 +314,9 @@ class TestReconstruct:
         bad = pk.read_cfld(ds / "y_0000.cfld")
         bad[0, 0] = np.nan
         pk.write_cfld(ds / "y_0000.cfld", bad)
-        code, _ = self.run(tmp_path, ds)
+        code, out = self.run(tmp_path, ds)
         assert code == 3
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -338,11 +336,11 @@ class TestEvaluate:
 
     def test_matches_run_summary_exactly(self, tmp_path, dataset_dir, capsys):
         solver = dict(SOLVER_SECTION, iterations=20)
-        cfg = write_config(tmp_path / "c.yaml", solver=solver, workers=1)
+        cfg = write_config(tmp_path / "c.yaml", solver=solver)
         out = tmp_path / "run"
         assert main(
             ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
-             "--out", str(out)]
+             "--out", str(out), "--workers", "1"]
         ) == 0
         capsys.readouterr()
         assert main(
@@ -364,15 +362,26 @@ class TestEvaluate:
             ["evaluate", "--recon", str(tmp_path / "nope.cfld"), "--dataset", str(dataset_dir)]
         ) == 2
 
+    def test_manifest_not_json_exits_2(self, tmp_path, dataset_dir, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        (data / "manifest.json").write_text("{\n")
+        assert main(
+            ["evaluate", "--recon", str(data / "truth.cfld"), "--dataset", str(data)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest.json: not valid JSON" in err
+
 
 class TestSweep:
     def run(self, tmp_path, dataset_dir, args, solver_overrides=None):
         solver = dict(SOLVER_SECTION, iterations=10, **(solver_overrides or {}))
-        cfg = write_config(tmp_path / "c.yaml", solver=solver, workers=1)
+        cfg = write_config(tmp_path / "c.yaml", solver=solver)
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", cfg, "--dataset", str(dataset_dir),
-             "--out", str(out), *args]
+             "--out", str(out), "--workers", "1", *args]
         )
         return code, out
 
@@ -418,18 +427,6 @@ class TestSweep:
         assert best["best_nrmse"] == min(err for _, err in rows)
         assert (best["best_value"], best["best_nrmse"]) in rows
 
-    def test_log_range_grid(self, tmp_path, dataset_dir):
-        code, out = self.run(
-            tmp_path, dataset_dir,
-            ["--param", "alpha", "--log-range", "0.01", "1.0", "4"],
-        )
-        assert code == 0
-        values = [
-            float(line.split(",")[0])
-            for line in (out / "sweep.csv").read_text().splitlines()[1:]
-        ]
-        np.testing.assert_allclose(values, np.geomspace(0.01, 1.0, 4), rtol=1e-12)
-
     def test_values_sharing_a_run_directory_exit_2(self, tmp_path, dataset_dir, capsys):
         # both values print as 0.1 under {value:g}, so the second run
         # would overwrite the first one's artifacts
@@ -460,10 +457,9 @@ class TestSweep:
         assert capsys.readouterr().err == "error: alpha must be finite and nonnegative\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("n", ["2.7", "0", "-3", "nan", "inf"])
-    def test_log_range_count_not_a_whole_number_exits_2(self, tmp_path, dataset_dir, n):
+    def test_failed_first_run_leaves_no_output(self, tmp_path, dataset_dir):
         code, out = self.run(
-            tmp_path, dataset_dir, ["--param", "alpha", "--log-range", "0.1", "1", n]
+            tmp_path, dataset_dir, ["--param", "alpha", "--values", "0.1,0.2"], {"init": "zeros"}
         )
         assert code == 2
         assert not out.exists()
@@ -473,8 +469,9 @@ class TestSweep:
         assert code == 2
 
     def test_no_value_source_exits_2(self, tmp_path, dataset_dir):
-        code, _ = self.run(tmp_path, dataset_dir, ["--param", "alpha"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, dataset_dir, ["--param", "alpha"])
+        assert exc.value.code == 2
 
     def test_unknown_param_rejected_by_parser(self, tmp_path, dataset_dir):
         with pytest.raises(SystemExit) as exc:
@@ -517,16 +514,30 @@ class TestConfigErrors:
 
     def test_no_output_location_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION))
-        assert main(["simulate", "--config", cfg]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg])
+        assert exc.value.code == 2
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # stands in for a sim.image_shape the allocator refuses; no large array is requested
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("ptychokit.sim.synth_object", no_memory)
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
 
     def test_probe_shape_mismatch_exits_2(self, tmp_path, dataset_dir, capsys):
         data = tmp_path / "ds"
         shutil.copytree(dataset_dir, data)
         pk.write_cfld(data / "probe.cfld", pk.read_cfld(data / "probe.cfld")[:, :1])
-        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=1)
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
         assert main(
             ["reconstruct", "--config", cfg, "--dataset", str(data),
-             "--out", str(tmp_path / "o")]
+             "--out", str(tmp_path / "o"), "--workers", "1"]
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "probe_size" in err
@@ -539,11 +550,13 @@ class TestConfigErrors:
         solver = dict(SOLVER_SECTION, name=name, beta=0.45, iterations=3)
         solver[key] = data.draw(solver_value(key), label=key)
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = write_config(Path(tmp) / "c.yaml", solver=solver, workers=1)
+            cfg = write_config(Path(tmp) / "c.yaml", solver=solver)
+            out = Path(tmp) / "o"
             code = main(
                 ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
-                 "--out", str(Path(tmp) / "o")]
+                 "--out", str(out), "--workers", "1"]
             )
+            assert code == 0 or not out.exists()
         assert code in (0, 2, 3)
 
     @pytest.mark.parametrize("key, value", [
@@ -568,8 +581,9 @@ class TestConfigErrors:
         sim = dict(SIM_SECTION)
         set_or_delete(sim, key, data.draw(any_value(ints=ints) | st.just(DELETE), label=key))
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = write_config(Path(tmp) / "c.yaml", sim=sim, workers=1)
-            code, err = main_quietly(["simulate", "--config", cfg, "--out", str(Path(tmp) / "o")])
+            cfg = write_config(Path(tmp) / "c.yaml", sim=sim)
+            code, err = main_quietly(["simulate", "--config", cfg, "--out", str(Path(tmp) / "o"),
+                                      "--workers", "1"])
         assert code in (0, 2)
         assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
 
@@ -582,10 +596,10 @@ class TestConfigErrors:
         manifest = json.loads((data / "manifest.json").read_text())
         set_or_delete(manifest, "spacing", value)
         (data / "manifest.json").write_text(json.dumps(manifest))
-        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=1)
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
         assert main(
             ["reconstruct", "--config", cfg, "--dataset", str(data),
-             "--out", str(tmp_path / "o")]
+             "--out", str(tmp_path / "o"), "--workers", "1"]
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -602,9 +616,11 @@ class TestConfigErrors:
             manifest = json.loads((ds / "manifest.json").read_text())
             set_or_delete(manifest, key, data.draw(any_value() | st.just(DELETE), label=key))
             (ds / "manifest.json").write_text(json.dumps(manifest))
-            cfg = write_config(Path(tmp) / "c.yaml", solver=solver, workers=1)
+            cfg = write_config(Path(tmp) / "c.yaml", solver=solver)
+            out = Path(tmp) / "o"
             code, err = main_quietly(["reconstruct", "--config", cfg, "--dataset", str(ds),
-                                      "--out", str(Path(tmp) / "o")])
+                                      "--out", str(out), "--workers", "1"])
+            assert code == 0 or not out.exists()
         assert code in (0, 2)
         assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
 
@@ -612,21 +628,23 @@ class TestConfigErrors:
     def test_worker_count_that_is_not_whole_exits_2(
         self, tmp_path, dataset_dir, capsys, workers
     ):
-        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=workers)
-        assert main(
-            ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
-             "--out", str(tmp_path / "o")]
-        ) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key 'workers'") and err.count("\n") == 1
+        # each value typed after --workers as Python prints it; the parser refuses all four
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+                  "--out", str(tmp_path / "o"), "--workers", str(workers)])
+        assert exc.value.code == 2
+        assert "argument --workers: invalid int value" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_worker_count_exits_2(self, tmp_path, dataset_dir):
-        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION), workers=0)
+    def test_bad_worker_count_exits_2(self, tmp_path, dataset_dir, capsys):
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
         assert main(
             ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
-             "--out", str(tmp_path / "o")]
+             "--out", str(tmp_path / "o"), "--workers", "0"]
         ) == 2
+        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert not (tmp_path / "o").exists()
 
 
 def child_env(bin_dir=None):
@@ -666,11 +684,11 @@ def assert_help_lists_subcommands(proc):
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         sim = dict(SIM_SECTION, noise=False)
-        cfg = write_config(tmp_path / "c.yaml", sim=sim, workers=1)
+        cfg = write_config(tmp_path / "c.yaml", sim=sim)
         out = tmp_path / "ds"
         proc = subprocess.run(
             [sys.executable, "-m", "ptychokit", "simulate", "--config", cfg,
-             "--out", str(out)],
+             "--out", str(out), "--workers", "1"],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr

@@ -286,6 +286,12 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="does not hold a JSON object"):
             pk.load_dataset(out)
 
+    def test_manifest_that_is_not_json_rejected(self, tmp_path, small):
+        out, _ = self._write(tmp_path, small, with_noise=False)
+        (out / MANIFEST_NAME).write_text("{\n")
+        with pytest.raises(ValueError, match="manifest.json: not valid JSON: Expecting"):
+            pk.load_dataset(out)
+
     def test_probe_shape_checked_against_manifest(self, tmp_path, small):
         out, _ = self._write(tmp_path, small, with_noise=False)
         pk.write_cfld(out / PROBE_NAME, small["probe"][:, :1])
