@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 CFLD_MAGIC = b"CFLD"
 CFLD_VERSION = 1
@@ -45,6 +44,7 @@ def fft2_orthonormal(
         with the same bits as the out-of-place transform.
     :return: transformed complex128 array of the same shape.
     """
+    import scipy.fft  # here, so that commands that transform nothing never load it
     return scipy.fft.fft2(
         f, norm="ortho", axes=(-2, -1), workers=workers, overwrite_x=overwrite_x
     )
@@ -52,6 +52,7 @@ def fft2_orthonormal(
 
 def ifft2_orthonormal(f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Inverse of :func:`fft2_orthonormal`; same unitarity and in-place contract."""
+    import scipy.fft
     return scipy.fft.ifft2(f, norm="ortho", axes=(-2, -1), overwrite_x=overwrite_x)
 
 
@@ -113,14 +114,21 @@ def accumulate_patch(
 
 
 def extract_stack(
-    image: np.ndarray, grid: ScanGrid, out: np.ndarray | None = None
+    image: np.ndarray, grid: ScanGrid, weight: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Extract all J patches as a (J, N_p, N_p) stack, into ``out`` if given."""
+    """Extract all J patches as a (J, N_p, N_p) stack, into ``out`` if given.
+
+    With ``weight`` (N_p, N_p) each patch is copied as ``weight * patch``.
+    """
     n = grid.patch_size
     if out is None:
         out = np.empty((len(grid), n, n), dtype=np.complex128)
     for j, (r, c) in enumerate(grid.offsets):
-        out[j] = image[r : r + n, c : c + n]
+        if weight is None:
+            out[j] = image[r : r + n, c : c + n]
+        else:
+            np.multiply(weight, image[r : r + n, c : c + n], out=out[j])
     return out
 
 

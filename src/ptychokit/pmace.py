@@ -73,17 +73,14 @@ class PmaceParams:
 
 
 def phase_factor(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise z/|z| with the convention phase(0) = 0.
+    """Pointwise z/|z| with the convention phase(0) = 0; NaN stays NaN.
 
+    z * (1/|z|) has the bits of NumPy's z/|z| up to the sign of a zero.
     ``out`` may be ``z`` itself.
     """
-    if out is None:
-        out = np.empty_like(z)
-    az = np.abs(z)
-    nonzero = az > 0
-    np.divide(z, az, out=out, where=nonzero)
-    out[~nonzero] = 0
-    return out
+    inv = np.abs(z)
+    np.divide(1.0, inv, out=inv, where=inv > 0)
+    return np.multiply(z, inv, out=out)
 
 
 def regularized_reciprocal(probe: np.ndarray) -> np.ndarray:
@@ -144,7 +141,7 @@ def agent_update(
     p_a(out, y, out=out)
     np.multiply(regularized_reciprocal(probe), out, out=out)
     np.add(alpha * x, out, out=out)
-    return np.divide(out, 1 + alpha, out=out)
+    return np.multiply(out, 1 / (1 + alpha), out=out)
 
 
 def stitch_weighted(
@@ -228,12 +225,14 @@ def iterate_stack(
         return bool(np.isfinite(s[k]).all())
 
     def descaled_image() -> np.ndarray:
-        return np.divide(stitch(s, probe, coverage, grid, out=image), descale, out=image)
+        return np.multiply(stitch(s, probe, coverage, grid, out=image), 1 / descale, out=image)
+
+    target = None if trace_target is None else trace_target[coverage.covered_mask]
 
     def record(iteration: int) -> None:
         err = float("nan")
-        if trace_target is not None:
-            err = nrmse_phase_aligned(descaled_image(), trace_target, coverage.covered_mask)
+        if target is not None:
+            err = nrmse_phase_aligned(descaled_image()[coverage.covered_mask], target)
         rows.append((iteration, err, time.perf_counter() - start))
 
     # np.errstate is per thread; the block threads take the caller's
@@ -248,7 +247,8 @@ def iterate_stack(
                 raise NumericalFailure(t)
             if t % params.eval_every == 0 or t == params.max_iters:
                 record(t)
-    return descaled_image(), rows
+    # the last iteration is always recorded, so with a target image holds the result
+    return (image if target is not None else descaled_image()), rows
 
 
 def mann_iterate(

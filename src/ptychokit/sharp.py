@@ -87,8 +87,7 @@ def p_q(
     if coverage2 is None:
         coverage2 = build_coverage(probe, grid, 2.0)
     image = stitch_frames(frames, probe, coverage2, grid)
-    out = extract_stack(image, grid, out=out)
-    return np.multiply(probe, out, out=out)
+    return extract_stack(image, grid, weight=probe, out=out)
 
 
 def block_steps(beta: float, variant: str):
@@ -143,8 +142,7 @@ def sharp_iterate(
     def couple(b):
         p_q(b, probe, grid, coverage2, out=b)
 
-    frames = extract_stack(init, grid)
-    np.multiply(probe, frames, out=frames)
+    frames = extract_stack(init, grid, weight=probe)
     return iterate_stack(
         first, couple, second, stitch_frames, frames, y, coverage2,
         probe, grid, params, trace_target, descale, workers,

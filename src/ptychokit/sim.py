@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .fields import (
     ScanGrid,
@@ -63,6 +62,7 @@ def make_scan_grid(
 
 def _smooth_unit_field(rng: np.random.Generator, shape, cutoff: float) -> np.ndarray:
     """Band-limited random field min-max normalized to [0, 1]."""
+    import scipy.fft  # here, so that commands that simulate nothing never load it
     g = rng.standard_normal(shape)
     spectrum = scipy.fft.fft2(g)
     fr = scipy.fft.fftfreq(shape[0])[:, None]
@@ -137,7 +137,7 @@ def forward_amplitude(
 
     :return: (J, N_p, N_p) nonnegative float64 stack.
     """
-    frames = probe[None, :, :] * extract_stack(x, grid)
+    frames = extract_stack(x, grid, weight=probe)
     return np.abs(fft2_orthonormal(frames, workers=workers))
 
 

@@ -637,6 +637,34 @@ class TestConfigErrors:
         assert "argument --workers: invalid int value" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, work", [
+        ("simulate", "ptychokit.sim.synth_object"),
+        ("reconstruct", "ptychokit.pmace.mann_iterate"),
+        ("sweep", "ptychokit.pmace.mann_iterate"),
+    ])
+    @pytest.mark.parametrize("out", ["afile", "afile/run"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_the_work(
+        self, tmp_path, dataset_dir, capsys, monkeypatch, command, work, out
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(work, no_work)
+        (tmp_path / "afile").write_text("kept")
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION), solver=dict(SOLVER_SECTION))
+        extra = {
+            "simulate": [],
+            "reconstruct": ["--dataset", str(dataset_dir)],
+            "sweep": ["--dataset", str(dataset_dir), "--param", "alpha", "--values", "0.1"],
+        }[command]
+        assert main(
+            [command, "--config", cfg, "--out", str(tmp_path / out), "--workers", "1", *extra]
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {tmp_path / out}: {tmp_path / 'afile'} exists and is not a directory\n"
+        )
+        assert (tmp_path / "afile").read_text() == "kept"
+
     def test_bad_worker_count_exits_2(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
         assert main(
@@ -713,6 +741,26 @@ class TestEntryPoints:
             env=child_env(bin_dir),
         )
         assert_help_lists_subcommands(proc)
+
+    def test_evaluate_and_help_do_not_load_scipy(self, dataset_dir):
+        # scipy.fft is the largest import; only commands that transform load it
+        recon, data = str(dataset_dir / "truth.cfld"), str(dataset_dir)
+        script = (
+            "import sys\n"
+            "from ptychokit.cli import main\n"
+            "assert 'scipy.fft' not in sys.modules, 'import'\n"
+            f"assert main(['evaluate', '--recon', {recon!r}, '--dataset', {data!r}]) == 0\n"
+            "assert 'scipy.fft' not in sys.modules, 'evaluate'\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "assert 'scipy.fft' not in sys.modules, '--help'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(shutil.which("ptychokit") is None,
                         reason="no installed ptychokit console script on PATH")

@@ -1,16 +1,27 @@
-"""The out= contract of the solver operators.
+"""The out= contract of the solver operators, and their byte parity with
+the forms they replaced.
 
 Every operator the solvers run in place on their workspace must leave its
 inputs untouched, with or without ``out=``, and give the same bytes both
 ways, whatever the output buffer held before.
 """
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ptychokit as pk
-from ptychokit.pmace import agent_update, consensus, phase_factor, stitch_weighted
+from ptychokit.fields import extract_stack
+from ptychokit.pmace import (
+    agent_update,
+    consensus,
+    phase_factor,
+    regularized_reciprocal,
+    stitch_weighted,
+)
 from ptychokit.sharp import p_a, p_q, stitch_frames
 
 # (image shape, patch size, grid dims, spacing); the second and third
@@ -106,3 +117,135 @@ def test_in_place_transforms_match_out_of_place():
         result = transform(a, overwrite_x=True)
         assert np.shares_memory(result, a)
         assert result.tobytes() == expected.tobytes()
+
+
+# --- byte parity with the division and two-pass forms the operators replaced ---
+#
+# Each oracle below is the expression an operator used before it was
+# rewritten to make fewer passes over memory. Multiplying by the
+# reciprocal 1/b gives the bits of NumPy's complex-by-real division, which
+# computes scl = 1/b and then (re + im*0)*scl; the two may differ only in
+# the sign of an exact zero.
+
+
+def bits(a):
+    """The bytes of ``a`` with every -0 part read as +0."""
+    return (a + 0.0).tobytes()
+
+
+def phase_factor_by_division(z):
+    out = np.empty_like(z)
+    az = np.abs(z)
+    nonzero = az > 0
+    np.divide(z, az, out=out, where=nonzero)
+    out[~nonzero] = 0
+    return out
+
+
+def agent_update_by_division(x, y, probe, alpha):
+    out = probe * x
+    p_a(out, y, out=out)
+    out = regularized_reciprocal(probe) * out
+    out = alpha * x + out
+    return np.divide(out, 1 + alpha, out=out)
+
+
+@st.composite
+def complex_arrays(draw, elements):
+    """Complex arrays of up to 3 dimensions whose parts are drawn from ``elements``."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = draw(hnp.arrays(np.float64, shape, elements=elements))
+    z.imag = draw(hnp.arrays(np.float64, shape, elements=elements))
+    return z
+
+
+# A part is +0 or has magnitude in [1e-100, 1e100]: then no product
+# underflows and |z| stays finite, so no zero is formed whose sign could
+# differ between the two forms.
+MODERATE = st.just(0.0) | st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100)
+# Every finite value, -0 included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_arrays(MODERATE))
+def test_phase_factor_has_the_bits_of_the_division(z):
+    assert phase_factor(z).tobytes() == phase_factor_by_division(z).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_arrays(FINITE))
+def test_phase_factor_equals_the_division_for_every_finite_input(z):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert bits(phase_factor(z)) == bits(phase_factor_by_division(z))
+
+
+def test_phase_factor_keeps_nan_for_the_nan_guard():
+    # the division form mapped NaN to 0 (NaN > 0 is false), hiding it from the guard
+    p = phase_factor(np.array([np.nan, 0, 3 + 4j]))
+    assert np.isnan(p[0])
+    assert p[1] == 0
+    np.testing.assert_allclose(p[2], 0.6 + 0.8j, rtol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_agent_update_has_the_bits_of_the_division(p):
+    # a dark probe pixel with alpha = 0 gives a signed zero there
+    expected = agent_update_by_division(p["stack"], p["y"], p["probe"], p["alpha"])
+    result = agent_update(p["stack"], p["y"], p["probe"], p["alpha"])
+    assert bits(result) == bits(expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_weighted_extract_has_the_bits_of_extract_then_multiply(p):
+    image = complex_normal(np.random.default_rng(0), p["grid"].image_shape)
+    expected = p["probe"] * extract_stack(image, p["grid"])
+    assert extract_stack(image, p["grid"], weight=p["probe"]).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_p_q_has_the_bits_of_extract_then_multiply(p):
+    image = stitch_frames(p["stack"], p["probe"], p["cov2"], p["grid"])
+    expected = p["probe"] * extract_stack(image, p["grid"])
+    assert p_q(p["stack"], p["probe"], p["grid"], p["cov2"]).tobytes() == expected.tobytes()
+
+
+@functools.cache
+def two_block_instance():
+    """Noisy 6x6 grid: one full block of frames and a partial one."""
+    shape, n_p = (72, 72), 16
+    grid = pk.make_scan_grid(shape, n_p, (6, 6), 8)
+    x = pk.synth_object(shape, 3)
+    probe = pk.synth_probe(n_p, 5)
+    noisy = pk.add_poisson_noise(pk.forward_amplitude(x, probe, grid), 1e5, 9)
+    return grid, x, probe, noisy.stack, noisy.scale_factor
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["pmace", "sharp", "sharp_plus"]),
+    st.integers(0, 4),
+    st.integers(1, 3),
+    st.sampled_from([1, 2]),
+)
+def test_traced_result_has_the_bits_of_the_final_stitch(solver, iters, eval_every, workers):
+    # with a trace target the result is the image the last trace row measured;
+    # without one it is stitched after the loop
+    grid, x, probe, y, descale = two_block_instance()
+    init = np.ones(grid.image_shape, dtype=np.complex128)
+    if solver == "pmace":
+        params = pk.PmaceParams(alpha=0.1, max_iters=iters, eval_every=eval_every)
+        solve = pk.mann_iterate
+    else:
+        params = pk.SharpParams(beta=0.45, max_iters=iters, variant=solver, eval_every=eval_every)
+        solve = pk.sharp_iterate
+    traced, rows = solve(y, probe, grid, params, init, trace_target=x, descale=descale,
+                         workers=workers)
+    plain, _ = solve(y, probe, grid, params, init, descale=descale, workers=workers)
+    assert traced.tobytes() == plain.tobytes()
+    mask = pk.build_coverage(probe, grid, params.kappa if solver == "pmace" else 2.0).covered_mask
+    assert rows[-1][1] == pk.nrmse_phase_aligned(plain, x, mask)
