@@ -9,6 +9,7 @@ normalizer used by the reconstruction solvers.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -30,30 +31,55 @@ class NumericalFailure(RuntimeError):
         self.iteration = iteration
 
 
-def fft2_orthonormal(
-    f: np.ndarray, workers: int = 1, overwrite_x: bool = False
-) -> np.ndarray:
+def scale_parts(f: np.ndarray, scale: float) -> np.ndarray:
+    """Multiply the real and imaginary parts of complex ``f`` by ``scale``, in place.
+
+    This is pocketfft's scaling of a pass; a complex product by
+    ``scale + 0j`` could flip the sign of a zero.
+    """
+    for part in (f.real, f.imag):
+        np.multiply(part, scale, out=part)
+    return f
+
+
+def _orthonormal_dft2(f: np.ndarray, inverse: bool, overwrite_x: bool) -> np.ndarray:
+    """The 2D DFT the way pocketfft's C++ multi-axis transform computes it.
+
+    Axis -2 is transformed first and scaled by 1/sqrt(n1 n2), a factor
+    computed in long double and rounded once to double; axis -1 follows
+    unscaled. NumPy's 1D transforms share pocketfft's kernels, so this
+    keeps the bits of datasets and reconstructions written with that
+    library; ``np.fft.fft2`` (last axis first) does not.
+    """
+    out = f if overwrite_x and f.dtype == np.complex128 else np.empty(f.shape, np.complex128)
+    n1, n2 = f.shape[-2:]
+    transform = np.fft.ifft if inverse else np.fft.fft
+    # norm="forward" scales a forward pass by 1/n and leaves an inverse
+    # one unscaled; "backward" does the reverse
+    scaled, unscaled = ("backward", "forward") if inverse else ("forward", "backward")
+    scale = float(1 / np.sqrt(np.longdouble(n1 * n2)))
+    if n1 == n2 and scale == 1 / n1:  # NumPy's own 1/n is the same factor
+        transform(f, axis=-2, norm=scaled, out=out)
+    else:
+        scale_parts(transform(f, axis=-2, norm=unscaled, out=out), scale)
+    return transform(out, axis=-1, norm=unscaled, out=out)
+
+
+def fft2_orthonormal(f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Unitary 2D DFT over the last two axes.
 
     :param f: 2D field or stack of fields (transform applied per leading index).
-    :param workers: thread count handed to the FFT backend; results are
-        bit-identical for any value because each slice is transformed
-        independently.
-    :param overwrite_x: let the backend reuse ``f``'s memory; a complex128
-        input is then transformed in place (the result is a view of ``f``)
-        with the same bits as the out-of-place transform.
+    :param overwrite_x: reuse ``f``'s memory; a complex128 input is then
+        transformed in place (the result is ``f``) with the same bits as
+        the out-of-place transform.
     :return: transformed complex128 array of the same shape.
     """
-    import scipy.fft  # here, so that commands that transform nothing never load it
-    return scipy.fft.fft2(
-        f, norm="ortho", axes=(-2, -1), workers=workers, overwrite_x=overwrite_x
-    )
+    return _orthonormal_dft2(f, False, overwrite_x)
 
 
 def ifft2_orthonormal(f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Inverse of :func:`fft2_orthonormal`; same unitarity and in-place contract."""
-    import scipy.fft
-    return scipy.fft.ifft2(f, norm="ortho", axes=(-2, -1), overwrite_x=overwrite_x)
+    return _orthonormal_dft2(f, True, overwrite_x)
 
 
 @dataclass(frozen=True)
@@ -221,7 +247,11 @@ def write_cfld(path, arr: np.ndarray) -> None:
 
 
 def read_cfld(path) -> np.ndarray:
-    """Read a CFLD file back into a complex128 array."""
+    """Read a CFLD file back into a complex128 array.
+
+    The file must hold exactly the payload its header declares; a short
+    or overlong file raises ValueError before any payload is read.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_CFLD_HEADER.size)
         if len(header) != _CFLD_HEADER.size:
@@ -231,8 +261,13 @@ def read_cfld(path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != CFLD_VERSION:
             raise ValueError(f"{path}: unsupported CFLD version {version}")
-        payload = fh.read(rows * cols * 16)
-    if len(payload) != rows * cols * 16:
-        raise ValueError(f"{path}: truncated CFLD payload")
-    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    return data.reshape(rows, cols)
+        payload = os.fstat(fh.fileno()).st_size - _CFLD_HEADER.size
+        if payload != rows * cols * 16:
+            problem = "truncated CFLD payload" if payload < rows * cols * 16 else (
+                f"{payload - rows * cols * 16} bytes after the CFLD payload")
+            raise ValueError(f"{path}: {problem} (header declares {rows}x{cols}, "
+                             f"file holds {payload} payload bytes)")
+        data = np.empty((rows, cols), dtype="<c16")
+        if fh.readinto(data) != data.nbytes:
+            raise ValueError(f"{path}: truncated CFLD payload")
+    return data.astype(np.complex128, copy=False)

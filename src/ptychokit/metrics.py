@@ -37,7 +37,9 @@ def nrmse_phase_aligned(
     # np.vdot conjugates its first argument: vdot(x, xhat) = sum conj(x)*xhat
     cross = np.vdot(xm, xhm)
     theta = 0.0 if cross == 0 else np.angle(cross)
-    return float(np.linalg.norm(xhm - np.exp(1j * theta) * xm) / ref_norm)
+    residual = np.multiply(np.exp(1j * theta), xm)
+    np.subtract(xhm, residual, out=residual)
+    return float(np.linalg.norm(residual) / ref_norm)
 
 
 def write_trace_csv(path, rows) -> None:

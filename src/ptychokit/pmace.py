@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 import numpy as np
 
@@ -109,12 +110,7 @@ def p_a(
     f = fft2_orthonormal(out, overwrite_x=True)
     phase_factor(f, out=f)
     np.multiply(y, f, out=f)
-    f = ifft2_orthonormal(f, overwrite_x=True)
-    # An in-place transform already left the result in out; its array
-    # differs from out only by a dtype instance, which np.copyto copies.
-    if not np.may_share_memory(f, out):
-        np.copyto(out, f)
-    return out
+    return ifft2_orthonormal(f, overwrite_x=True)
 
 
 def agent_update(
@@ -197,6 +193,21 @@ def check_solver_inputs(
         raise ValueError("probe is zero everywhere")
 
 
+@contextmanager
+def frame_blocks(frames: int, workers: int):
+    """Yield (blocks, run): slices of BLOCK_FRAMES frames covering ``frames``
+    frames, and a map that runs a function over them on min(workers,
+    blocks) threads.
+
+    Each thread starts with the caller's np.errstate, which is per thread.
+    """
+    blocks = [slice(i, i + BLOCK_FRAMES) for i in range(0, frames, BLOCK_FRAMES)]
+    threads = min(workers, len(blocks))
+    err = np.geterr()
+    with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**err)) as pool:
+        yield blocks, (pool.map if threads > 1 else map)
+
+
 def iterate_stack(
     first, couple, second, stitch, s: np.ndarray, y: np.ndarray, coverage: CoverageMap,
     probe: np.ndarray, grid: ScanGrid, params, trace_target: np.ndarray | None,
@@ -215,8 +226,6 @@ def iterate_stack(
     """
     a, b = np.empty_like(s), np.empty_like(s)
     image = np.empty(grid.image_shape, dtype=np.complex128)
-    blocks = [slice(i, i + BLOCK_FRAMES) for i in range(0, len(s), BLOCK_FRAMES)]
-    threads = min(workers, len(blocks))
     start = time.perf_counter()
     rows: list[tuple[int, float, float]] = []
 
@@ -235,10 +244,7 @@ def iterate_stack(
             err = nrmse_phase_aligned(descaled_image()[coverage.covered_mask], target)
         rows.append((iteration, err, time.perf_counter() - start))
 
-    # np.errstate is per thread; the block threads take the caller's
-    err = np.geterr()
-    with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**err)) as pool:
-        run = pool.map if threads > 1 else map
+    with frame_blocks(len(s), workers) as (blocks, run):
         record(0)
         for t in range(1, params.max_iters + 1):
             list(run(lambda k: first(s[k], a[k], b[k], y[k]), blocks))

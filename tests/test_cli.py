@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -356,6 +357,17 @@ class TestEvaluate:
         assert main(
             ["evaluate", "--recon", str(small_field), "--dataset", str(dataset_dir)]
         ) == 2
+
+    @pytest.mark.parametrize("damage", ["huge_header", "trailing_bytes"])
+    def test_file_size_not_matching_header_exits_2(self, tmp_path, dataset_dir, capsys, damage):
+        recon = tmp_path / "recon.cfld"
+        if damage == "huge_header":
+            recon.write_bytes(struct.pack("<4sIQQ", b"CFLD", 1, 2**31, 2**31))
+        else:
+            recon.write_bytes((dataset_dir / "truth.cfld").read_bytes() + bytes(16))
+        assert main(["evaluate", "--recon", str(recon), "--dataset", str(dataset_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {recon}: ") and err.count("\n") == 1
 
     def test_missing_recon_exits_2(self, tmp_path, dataset_dir):
         assert main(
@@ -742,20 +754,30 @@ class TestEntryPoints:
         )
         assert_help_lists_subcommands(proc)
 
-    def test_evaluate_and_help_do_not_load_scipy(self, dataset_dir):
-        # scipy.fft is the largest import; only commands that transform load it
-        recon, data = str(dataset_dir / "truth.cfld"), str(dataset_dir)
+    def test_no_command_loads_scipy(self, tmp_path):
+        # the package needs NumPy only; a fresh process runs every command
+        sim_cfg = write_config(tmp_path / "sim.yaml", sim=dict(SIM_SECTION))
+        solver_cfg = write_config(tmp_path / "solver.yaml",
+                                  solver=dict(SOLVER_SECTION, iterations=3))
+        ds, run, swp = (str(tmp_path / name) for name in ("ds", "run", "sweep"))
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "from ptychokit.cli import main\n"
-            "assert 'scipy.fft' not in sys.modules, 'import'\n"
-            f"assert main(['evaluate', '--recon', {recon!r}, '--dataset', {data!r}]) == 0\n"
-            "assert 'scipy.fft' not in sys.modules, 'evaluate'\n"
+            "def quiet(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv[0]\n"
+            f"quiet(['simulate', '--config', {sim_cfg!r}, '--out', {ds!r}, '--workers', '2'])\n"
+            f"quiet(['reconstruct', '--config', {solver_cfg!r}, '--dataset', {ds!r},"
+            f" '--out', {run!r}, '--workers', '2'])\n"
+            f"quiet(['evaluate', '--recon', {run + '/recon.cfld'!r}, '--dataset', {ds!r}])\n"
+            f"quiet(['sweep', '--config', {solver_cfg!r}, '--dataset', {ds!r}, '--out', {swp!r},"
+            " '--param', 'alpha', '--values', '0.1,0.2', '--workers', '1'])\n"
             "try:\n"
             "    main(['--help'])\n"
             "except SystemExit:\n"
             "    pass\n"
-            "assert 'scipy.fft' not in sys.modules, '--help'\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()

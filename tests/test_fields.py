@@ -82,11 +82,38 @@ class TestOrthonormalFFT:
         for j in range(5):
             np.testing.assert_array_equal(batched[j], fft2_orthonormal(stack[j]))
 
-    def test_worker_count_does_not_change_bits(self):
-        stack = np.stack([random_field((16, 16), seed=s) for s in range(8)])
-        np.testing.assert_array_equal(
-            fft2_orthonormal(stack, workers=1), fft2_orthonormal(stack, workers=8)
-        )
+
+# Shapes whose scale 1/sqrt(n1 n2) takes the general path: non-square fields.
+NON_SQUARE = ((1, 2), (2, 1), (5, 1), (1, 7), (3, 4), (37, 53), (53, 37), (64, 32), (100, 17))
+
+
+class TestScipyParity:
+    """The NumPy transforms keep the bits of scipy.fft's 2D transforms,
+    which earlier datasets and reconstructions were written with."""
+
+    @pytest.fixture(autouse=True)
+    def scipy_fft(self):
+        return pytest.importorskip("scipy.fft")
+
+    def assert_same_bits(self, scipy_fft, f):
+        for ours, theirs in ((fft2_orthonormal, scipy_fft.fft2),
+                             (ifft2_orthonormal, scipy_fft.ifft2)):
+            expected = theirs(f, norm="ortho").tobytes()
+            assert ours(f).tobytes() == expected, f.shape
+            work = f.copy()
+            assert ours(work, overwrite_x=True).tobytes() == expected, f.shape
+
+    def test_square_sizes(self, scipy_fft):
+        for n in range(1, 130):
+            self.assert_same_bits(scipy_fft, random_field((n, n), seed=n))
+
+    def test_non_square_shapes(self, scipy_fft):
+        for shape in NON_SQUARE:
+            self.assert_same_bits(scipy_fft, random_field(shape, seed=sum(shape)))
+
+    def test_stacks(self, scipy_fft):
+        for shape in ((3, 64, 64), (2, 3, 5, 5), (4, 6, 10)):
+            self.assert_same_bits(scipy_fft, random_field(shape, seed=len(shape)))
 
 
 class TestScanGridAndPatches:
@@ -233,6 +260,19 @@ class TestCfldFormat:
         write_cfld(path, np.zeros((4, 4), complex))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            read_cfld(path)
+
+    def test_rejects_header_larger_than_file(self, tmp_path):
+        path = tmp_path / "f.cfld"
+        path.write_bytes(b"CFLD" + (1).to_bytes(4, "little") + (2**31).to_bytes(8, "little") * 2)
+        with pytest.raises(ValueError, match="truncated CFLD payload"):
+            read_cfld(path)
+
+    def test_rejects_bytes_after_payload(self, tmp_path):
+        path = tmp_path / "f.cfld"
+        write_cfld(path, np.zeros((4, 4), complex))
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError, match="16 bytes after the CFLD payload"):
             read_cfld(path)
 
     def test_rejects_non_2d(self, tmp_path):

@@ -89,6 +89,28 @@ class TestPhaseAlignedNrmse:
         with pytest.raises(ValueError):
             nrmse_phase_aligned(np.ones((2, 2), complex), np.ones((3, 3), complex))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**20),
+        masked=st.booleans(),
+        magnitude=st.sampled_from([1e-150, 1e-8, 1.0, 1e150]),
+    )
+    def test_residual_in_one_temporary_keeps_the_bits(self, n, seed, masked, magnitude):
+        rng = np.random.default_rng(seed)
+        x = magnitude * random_field((n,), seed)
+        xhat = x * np.exp(1j * rng.uniform(-np.pi, np.pi)) + random_field((n,), seed + 1)
+        mask = None
+        if masked:
+            mask = rng.random(n) < 0.6
+            mask[0] = True
+        xm, xhm = (x, xhat) if mask is None else (x[mask], xhat[mask])
+        # the expression the function evaluated before, with two temporaries
+        cross = np.vdot(xm, xhm)
+        theta = 0.0 if cross == 0 else np.angle(cross)
+        expected = float(np.linalg.norm(xhm - np.exp(1j * theta) * xm) / np.linalg.norm(xm))
+        assert repr(nrmse_phase_aligned(xhat, x, mask)) == repr(expected)
+
 
 class TestTraceCsv:
     ROWS = [(0, 0.5, 0.0), (10, 0.25, 1.5), (20, 0.125, 3.25)]

@@ -71,6 +71,26 @@ class TestSynthObject:
         x = pk.synth_object((24, 40), seed=0)
         assert x.shape == (24, 40) and x.dtype == np.complex128
 
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 6), (2, 2), (33, 33), (64, 64), (176, 176),
+                                       (37, 53), (53, 37), (48, 20), (99, 100)])
+    def test_same_bits_as_scipy_fft(self, shape):
+        """synth_object keeps the bits it had when it transformed with scipy.fft."""
+        sfft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(7)
+
+        def smooth():
+            g = rng.standard_normal(shape)
+            fr = sfft.fftfreq(shape[0])[:, None]
+            fc = sfft.fftfreq(shape[1])[None, :]
+            lowpass = np.exp(-(fr**2 + fc**2) / (2 * (1 / 16) ** 2))
+            s = sfft.ifft2(sfft.fft2(g) * lowpass).real
+            return (s - s.min()) / (s.max() - s.min())
+
+        amp = 0.5 + 0.5 * smooth()
+        pha = -np.pi / 2 + np.pi * smooth()
+        expected = amp * np.exp(1j * pha)
+        assert pk.synth_object(shape, seed=7).tobytes() == expected.tobytes()
+
 
 class TestSynthProbe:
     def test_minimum_size_enforced(self):
@@ -137,6 +157,16 @@ class TestForwardModel:
         y = pk.forward_amplitude(x, probe, grid)
         direct = np.abs(np.fft.fft2(probe * x, norm="ortho"))
         np.testing.assert_allclose(y[0], direct, atol=1e-12)
+
+    def test_worker_count_does_not_change_bits(self):
+        # 100 frames make four blocks of frames
+        x = pk.synth_object((52, 52), seed=3)
+        probe = pk.synth_probe(16, seed=4)
+        grid = pk.make_scan_grid((52, 52), 16, (10, 10), 4)
+        frames = pk.extract_stack(x, grid, weight=probe)
+        expected = np.abs(pk.fft2_orthonormal(frames)).tobytes()
+        for workers in (1, 2, 3, 8):
+            assert pk.forward_amplitude(x, probe, grid, workers=workers).tobytes() == expected
 
 
 class TestPoissonNoise:
