@@ -8,8 +8,8 @@ The config file says what to compute (geometry, seeds, solver values);
 ``--out`` and ``--workers`` say where the output goes and on how many
 threads, and each setting has only that one source.
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure (NaN in
-solver iterates).
+Exit codes: 0 success, 2 usage/config error or bad dataset file, 3
+numerical failure (NaN in solver iterates).
 """
 
 from __future__ import annotations
@@ -157,14 +157,22 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, workers: int, run_dir: Path):
-    """Solve and write recon.cfld, trace.csv and summary.json; return (final NRMSE, seconds)."""
+def _measured(settings: dict, dataset: sim.Dataset):
+    """(y, descale): the amplitude stack solver.data names, read and checked
+    now, and the factor a reconstruction from it is divided by."""
+    if settings["data"] == "clean":
+        return dataset.clean, 1.0
+    if dataset.noisy is None:
+        raise ConfigError("config requests noisy data but the dataset has none")
+    return dataset.noisy, dataset.scale_factor
+
+
+def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, measured, workers: int,
+         run_dir: Path):
+    """Solve from ``measured`` = (y, descale) and write recon.cfld, trace.csv and
+    summary.json; return (final NRMSE, seconds)."""
     t0 = time.perf_counter()
-    y, descale = dataset.clean, 1.0
-    if settings["data"] == "noisy":
-        if dataset.noisy is None:
-            raise ConfigError("config requests noisy data but the dataset has none")
-        y, descale = dataset.noisy, dataset.scale_factor
+    y, descale = measured
     init = make_init(settings["init"], dataset.grid.image_shape, settings["init_seed"])
     # looked up at call time, so a wrapper installed on the module applies
     iterate = pmace.mann_iterate if isinstance(params, pmace.PmaceParams) else sharp.sharp_iterate
@@ -190,8 +198,9 @@ def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, workers: in
 def cmd_reconstruct(cfg: dict, dataset_path, out_dir, workers: int) -> int:
     params, settings = read_solver(cfg)
     dataset = sim.load_dataset(dataset_path)
+    measured = _measured(settings, dataset)
     out = Path(out_dir)
-    final, wall = _run(params, settings, dataset_path, dataset, workers, out)
+    final, wall = _run(params, settings, dataset_path, dataset, measured, workers, out)
     print(f"final NRMSE {final:.6e} after {params.max_iters} iterations "
           f"({wall:.2f}s); artifacts in {out}")
     return EXIT_OK
@@ -221,11 +230,12 @@ def cmd_sweep(cfg: dict, dataset_path, out_dir, param: str, values: list[float],
             )
         runs[name] = dataclasses.replace(base, **{param: value})
     dataset = sim.load_dataset(dataset_path)
+    measured = _measured(settings, dataset)
     out = Path(out_dir)
     rows = []
     for name, params in runs.items():
         value = getattr(params, param)
-        final, wall = _run(params, settings, dataset_path, dataset, workers, out / name)
+        final, wall = _run(params, settings, dataset_path, dataset, measured, workers, out / name)
         rows.append((value, final, wall))
         print(f"{param}={value:g}: final NRMSE {final:.6e} ({wall:.2f}s)")
     (out / "sweep.csv").write_text("value,final_nrmse,seconds\n" + "".join(

@@ -42,7 +42,7 @@ def scale_parts(f: np.ndarray, scale: float) -> np.ndarray:
     return f
 
 
-def _orthonormal_dft2(f: np.ndarray, inverse: bool, overwrite_x: bool) -> np.ndarray:
+def _orthonormal_dft2(f: np.ndarray, inverse: bool, out: np.ndarray | None) -> np.ndarray:
     """The 2D DFT the way pocketfft's C++ multi-axis transform computes it.
 
     Axis -2 is transformed first and scaled by 1/sqrt(n1 n2), a factor
@@ -51,7 +51,8 @@ def _orthonormal_dft2(f: np.ndarray, inverse: bool, overwrite_x: bool) -> np.nda
     keeps the bits of datasets and reconstructions written with that
     library; ``np.fft.fft2`` (last axis first) does not.
     """
-    out = f if overwrite_x and f.dtype == np.complex128 else np.empty(f.shape, np.complex128)
+    if out is None:
+        out = np.empty(f.shape, np.complex128)
     n1, n2 = f.shape[-2:]
     transform = np.fft.ifft if inverse else np.fft.fft
     # norm="forward" scales a forward pass by 1/n and leaves an inverse
@@ -65,21 +66,20 @@ def _orthonormal_dft2(f: np.ndarray, inverse: bool, overwrite_x: bool) -> np.nda
     return transform(out, axis=-1, norm=unscaled, out=out)
 
 
-def fft2_orthonormal(f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+def fft2_orthonormal(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unitary 2D DFT over the last two axes.
 
     :param f: 2D field or stack of fields (transform applied per leading index).
-    :param overwrite_x: reuse ``f``'s memory; a complex128 input is then
-        transformed in place (the result is ``f``) with the same bits as
-        the out-of-place transform.
+    :param out: complex128 array of ``f``'s shape for the result, which
+        may be ``f`` itself; the bits do not depend on it.
     :return: transformed complex128 array of the same shape.
     """
-    return _orthonormal_dft2(f, False, overwrite_x)
+    return _orthonormal_dft2(f, False, out)
 
 
-def ifft2_orthonormal(f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Inverse of :func:`fft2_orthonormal`; same unitarity and in-place contract."""
-    return _orthonormal_dft2(f, True, overwrite_x)
+def ifft2_orthonormal(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`fft2_orthonormal`; same unitarity and ``out`` contract."""
+    return _orthonormal_dft2(f, True, out)
 
 
 @dataclass(frozen=True)

@@ -102,15 +102,13 @@ def p_a(
 ) -> np.ndarray:
     """Fourier-magnitude projection: F*(y phase(F s)) per frame.
 
-    The transforms run in place in ``out``, which may be ``frames`` itself.
+    The forward transform reads ``frames`` and writes ``out``, which may be
+    ``frames`` itself; the rest runs in place in ``out``.
     """
-    if out is None:
-        out = np.empty(frames.shape, dtype=np.complex128)
-    np.copyto(out, frames)
-    f = fft2_orthonormal(out, overwrite_x=True)
+    f = fft2_orthonormal(frames, out=out)
     phase_factor(f, out=f)
     np.multiply(y, f, out=f)
-    return ifft2_orthonormal(f, overwrite_x=True)
+    return ifft2_orthonormal(f, out=f)
 
 
 def agent_update(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +180,7 @@ def forward_amplitude(
     """
     frames = extract_stack(x, grid, weight=probe)
     with frame_blocks(len(frames), workers) as (blocks, run):
-        list(run(lambda k: fft2_orthonormal(frames[k], overwrite_x=True), blocks))
+        list(run(lambda k: fft2_orthonormal(frames[k], out=frames[k]), blocks))
     return np.abs(frames)
 
 
@@ -283,14 +284,39 @@ def write_dataset(
 
 @dataclass(frozen=True)
 class Dataset:
-    """In-memory view of a simulated dataset directory."""
+    """A dataset directory: manifest, truth and probe are read on load; each
+    amplitude stack is read, checked and kept when it is first used."""
 
+    root: Path
     truth: np.ndarray
     probe: np.ndarray
     grid: ScanGrid
-    clean: np.ndarray
-    noisy: np.ndarray | None
+    noise: bool
     scale_factor: float
+
+    def _amplitudes(self, noisy: bool) -> np.ndarray:
+        """The (J, N_p, N_p) float64 stack of one kind; each file must hold
+        finite, nonnegative amplitudes with zero imaginary parts and the
+        probe's shape."""
+        stack = np.empty((len(self.grid), *self.probe.shape))
+        for j in range(len(stack)):
+            path = self.root / _amplitude_name(j, noisy)
+            a = read_cfld(path)
+            if a.shape != self.probe.shape:
+                raise ValueError(f"{path}: shape {list(a.shape)} does not match the probe's "
+                                 f"{list(self.probe.shape)}")
+            if a.imag.any() or not ((0 <= a.real) & (a.real < np.inf)).all():
+                raise ValueError(f"{path}: amplitudes must be finite, nonnegative and real")
+            stack[j] = a.real
+        return stack
+
+    @cached_property
+    def clean(self) -> np.ndarray:
+        return self._amplitudes(noisy=False)
+
+    @cached_property
+    def noisy(self) -> np.ndarray | None:
+        return self._amplitudes(noisy=True) if self.noise else None
 
 
 # The manifest keys load_dataset reads, each with the test its JSON value must pass.
@@ -305,7 +331,9 @@ _MANIFEST_KEYS = {
 
 
 def load_dataset(path) -> Dataset:
-    """Load a dataset directory written by :func:`write_dataset`; check its manifest first."""
+    """Load a dataset directory written by :func:`write_dataset`: check its
+    manifest, then read and check the truth and probe. The amplitude files
+    are read on first use of ``clean`` or ``noisy``."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     with open(manifest_path) as fh:
@@ -321,30 +349,15 @@ def load_dataset(path) -> Dataset:
             raise ValueError(f"{manifest_path}: key '{key}' {problem}")
     truth = read_cfld(root / TRUTH_NAME)
     probe = read_cfld(root / PROBE_NAME)
+    for name, field in ((TRUTH_NAME, truth), (PROBE_NAME, probe)):
+        if not np.isfinite(field).all():
+            raise ValueError(f"{root / name}: values must be finite")
     if truth.shape != tuple(manifest["image_shape"]):
-        raise ValueError(
-            f"manifest image_shape {manifest['image_shape']} does not match "
-            f"ground truth file shape {list(truth.shape)}"
-        )
+        raise ValueError(f"{root / TRUTH_NAME}: shape {list(truth.shape)} does not match "
+                         f"manifest image_shape {manifest['image_shape']}")
     n = manifest["probe_size"]
     if probe.shape != (n, n):
-        raise ValueError(
-            f"manifest probe_size {n} does not match probe file shape "
-            f"{list(probe.shape)}"
-        )
-    grid = make_scan_grid(
-        truth.shape, n, tuple(manifest["grid_dims"]), manifest["spacing"]
-    )
-    J = len(grid)
-    clean = np.stack([read_cfld(root / _amplitude_name(j, False)).real for j in range(J)])
-    noisy = None
-    if manifest["noise"]:
-        noisy = np.stack([read_cfld(root / _amplitude_name(j, True)).real for j in range(J)])
-    return Dataset(
-        truth=truth,
-        probe=probe,
-        grid=grid,
-        clean=clean,
-        noisy=noisy,
-        scale_factor=float(manifest["scale_factor"]),
-    )
+        raise ValueError(f"{root / PROBE_NAME}: shape {list(probe.shape)} does not match "
+                         f"manifest probe_size {n}")
+    grid = make_scan_grid(truth.shape, n, tuple(manifest["grid_dims"]), manifest["spacing"])
+    return Dataset(root, truth, probe, grid, manifest["noise"], float(manifest["scale_factor"]))

@@ -306,8 +306,8 @@ class TestReconstruct:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_amplitudes_exit_3(self, tmp_path, dataset_dir):
+    def test_non_finite_amplitudes_exit_2(self, tmp_path, dataset_dir, capsys):
+        # bad data is an input error, not a solver failure
         ds = tmp_path / "bad_ds"
         ds.mkdir()
         for p in dataset_dir.iterdir():
@@ -316,8 +316,114 @@ class TestReconstruct:
         bad[0, 0] = np.nan
         pk.write_cfld(ds / "y_0000.cfld", bad)
         code, out = self.run(tmp_path, ds)
-        assert code == 3
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ds / 'y_0000.cfld'}: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_iterate_exits_3(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        # a NaN from the agent update stands in for a solve that diverges on valid data
+        original = pk.pmace.agent_update
+
+        def poisoned(*args, **kwargs):
+            out = original(*args, **kwargs)
+            out[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(pk.pmace, "agent_update", poisoned)
+        code, out = self.run(tmp_path, dataset_dir)
+        assert code == 3
+        assert capsys.readouterr().err == "error: non-finite values in iterate at iteration 1\n"
+        assert not out.exists()
+
+
+def run_on_changed_file(tmp_path, dataset_dir, name, change, command, data="clean"):
+    """Run ``command`` on a copy of the dataset whose CFLD file ``name`` holds
+    ``change`` of its field; return (exit code, stderr, file path)."""
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset_dir, ds)
+    pk.write_cfld(ds / name, change(pk.read_cfld(ds / name)))
+    if command == "evaluate":
+        argv = ["evaluate", "--recon", str(dataset_dir / "truth.cfld"), "--dataset", str(ds)]
+    else:
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION, data=data))
+        argv = ["reconstruct", "--config", cfg, "--dataset", str(ds),
+                "--out", str(tmp_path / "run"), "--workers", "1"]
+    code, err = main_quietly(argv)
+    assert not (tmp_path / "run").exists()
+    return code, err, ds / name
+
+
+class TestDatasetFiles:
+    """Each dataset file is checked as it is read: a bad one exits 2 with
+    one stderr line that names it."""
+
+    @pytest.mark.parametrize("name, change, data", [
+        ("yn_0003.cfld", lambda a: a[:8, :8], "noisy"),
+        ("y_0004.cfld", lambda a: -a, "clean"),
+        ("yn_0005.cfld", lambda a: a + 1e-3j, "noisy"),
+    ], ids=["8x8", "negated", "imaginary-part"])
+    def test_bad_amplitude_file_exits_2_naming_it(self, tmp_path, dataset_dir, name, change,
+                                                  data):
+        code, err, path = run_on_changed_file(tmp_path, dataset_dir, name, change,
+                                              "reconstruct", data)
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, value", [("probe.cfld", np.inf), ("truth.cfld", np.nan)])
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate"])
+    def test_non_finite_probe_or_truth_exits_2_naming_it(self, tmp_path, dataset_dir, name,
+                                                         value, command):
+        def change(a):
+            a[3, 4] = value
+            return a
+
+        code, err, path = run_on_changed_file(tmp_path, dataset_dir, name, change, command)
+        assert code == 2
+        assert err == f"error: {path}: values must be finite\n"
+
+
+class TestDatasetReads:
+    """Each command reads only the dataset files it uses."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Names of the files the dataset loader reads, one entry per read."""
+        names = []
+        original = pk.sim.read_cfld
+
+        def recording(path):
+            names.append(Path(path).name)
+            return original(path)
+
+        monkeypatch.setattr(pk.sim, "read_cfld", recording)
+        return names
+
+    def test_evaluate_reads_truth_and_probe_only(self, dataset_dir, opened):
+        code, _ = main_quietly(["evaluate", "--recon", str(dataset_dir / "truth.cfld"),
+                            "--dataset", str(dataset_dir)])
+        assert code == 0
+        assert opened == ["truth.cfld", "probe.cfld"]
+
+    @pytest.mark.parametrize("data, prefix", [("clean", "y_"), ("noisy", "yn_")])
+    def test_reconstruct_reads_only_the_stack_it_solves_from(self, tmp_path, dataset_dir,
+                                                             opened, data, prefix):
+        solver = dict(SOLVER_SECTION, data=data, iterations=2)
+        cfg = write_config(tmp_path / "c.yaml", solver=solver)
+        code, _ = main_quietly(["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+                            "--out", str(tmp_path / "run"), "--workers", "1"])
+        assert code == 0
+        assert opened == ["truth.cfld", "probe.cfld"] + [f"{prefix}{j:04d}.cfld" for j in range(9)]
+
+    def test_sweep_reads_its_stack_once_for_all_runs(self, tmp_path, dataset_dir, opened):
+        solver = dict(SOLVER_SECTION, data="noisy", iterations=2)
+        cfg = write_config(tmp_path / "c.yaml", solver=solver)
+        code, _ = main_quietly(["sweep", "--config", cfg, "--dataset", str(dataset_dir),
+                            "--out", str(tmp_path / "sweep"), "--workers", "1",
+                            "--param", "alpha", "--values", "0.1,0.2,0.3"])
+        assert code == 0
+        assert opened == ["truth.cfld", "probe.cfld"] + [f"yn_{j:04d}.cfld" for j in range(9)]
 
 
 class TestEvaluate:

@@ -101,7 +101,7 @@ class TestScipyParity:
             expected = theirs(f, norm="ortho").tobytes()
             assert ours(f).tobytes() == expected, f.shape
             work = f.copy()
-            assert ours(work, overwrite_x=True).tobytes() == expected, f.shape
+            assert ours(work, out=work).tobytes() == expected, f.shape
 
     def test_square_sizes(self, scipy_fft):
         for n in range(1, 130):

@@ -114,7 +114,7 @@ def test_in_place_transforms_match_out_of_place():
     for transform in (pk.fft2_orthonormal, pk.ifft2_orthonormal):
         a = complex_normal(rng, (3, 8, 8))
         expected = transform(a)
-        result = transform(a, overwrite_x=True)
+        result = transform(a, out=a)
         assert np.shares_memory(result, a)
         assert result.tobytes() == expected.tobytes()
 
@@ -212,6 +212,26 @@ def test_p_q_has_the_bits_of_extract_then_multiply(p):
     image = stitch_frames(p["stack"], p["probe"], p["cov2"], p["grid"])
     expected = p["probe"] * extract_stack(image, p["grid"])
     assert p_q(p["stack"], p["probe"], p["grid"], p["cov2"]).tobytes() == expected.tobytes()
+
+
+def p_a_by_copy(frames, y):
+    out = frames.copy()
+    pk.fft2_orthonormal(out, out=out)
+    phase_factor(out, out=out)
+    np.multiply(y, out, out=out)
+    return pk.ifft2_orthonormal(out, out=out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_p_a_reads_its_frames_once_and_has_the_bits_of_copy_then_transform(p):
+    frames = p["stack"]
+    before = frames.tobytes()
+    expected = p_a_by_copy(frames, p["y"]).tobytes()
+    out = np.full(frames.shape, np.nan + 1j * np.nan)
+    assert p_a(frames, p["y"], out=out).tobytes() == expected
+    assert frames.tobytes() == before
+    assert p_a(frames, p["y"], out=frames).tobytes() == expected
 
 
 @functools.cache
