@@ -9,7 +9,7 @@ The config file says what to compute (geometry, seeds, solver values);
 threads, and each setting has only that one source.
 
 Exit codes: 0 success, 2 usage/config error or bad dataset file, 3
-numerical failure (NaN in solver iterates).
+numerical failure (non-finite iterate; NumPy's warnings stay off stderr).
 """
 
 from __future__ import annotations
@@ -290,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -214,21 +214,22 @@ def iterate_stack(
     """The loop both solvers share: workspace, frame blocks, trace and NaN guard.
 
     ``s``, the solver's starting (J, N_p, N_p) stack, is updated in place
-    with two scratch stacks a and b. An iteration runs ``first(s[k], a[k],
-    b[k], y[k])`` on every block k of BLOCK_FRAMES frames, ``couple(b)`` on
-    the whole stack, then ``second(s[k], a[k], b[k])`` and the NaN guard per
-    block. Blocks run on min(workers, blocks) threads and touch only their
-    own frames; the coupling runs on the calling thread, so results do not
-    depend on ``workers``. ``stitch(s, probe, coverage, grid, out=image)``
+    with one scratch stack a. An iteration runs ``first(s[k], a[k], y[k])``,
+    which leaves the coupling's input in a and the rest of the update in s,
+    on every block k of BLOCK_FRAMES frames, ``couple(a)`` on the whole
+    stack, then ``second(s[k], a[k])`` and the NaN guard per block. Blocks
+    run on min(workers, blocks) threads and touch only their own frames;
+    the coupling runs on the calling thread, so results do not depend on
+    ``workers``. ``stitch(s, probe, coverage, grid, out=image)``
     gives the result and the image whose NRMSE over the covered region is traced.
     """
-    a, b = np.empty_like(s), np.empty_like(s)
+    a = np.empty_like(s)
     image = np.empty(grid.image_shape, dtype=np.complex128)
     start = time.perf_counter()
     rows: list[tuple[int, float, float]] = []
 
     def second_block(k: slice) -> bool:
-        second(s[k], a[k], b[k])
+        second(s[k], a[k])
         return bool(np.isfinite(s[k]).all())
 
     def descaled_image() -> np.ndarray:
@@ -245,8 +246,8 @@ def iterate_stack(
     with frame_blocks(len(s), workers) as (blocks, run):
         record(0)
         for t in range(1, params.max_iters + 1):
-            list(run(lambda k: first(s[k], a[k], b[k], y[k]), blocks))
-            couple(b)
+            list(run(lambda k: first(s[k], a[k], y[k]), blocks))
+            couple(a)
             if not all(list(run(second_block, blocks))):
                 raise NumericalFailure(t)
             if t % params.eval_every == 0 or t == params.max_iters:
@@ -269,33 +270,31 @@ def mann_iterate(
 
     The loop body per iteration is
 
-        w <- F(v);  z <- G(2w - v);  v <- v + 2 rho (z - w)
+        w <- F(v);  z <- G(2w - v);  v <- (v - 2 rho w) + 2 rho z
 
-    starting from v_j = P_j(init). The reconstruction is the weighted
-    back-projection of the final v, divided by `descale` (the simulator's
-    amplitude scale factor for noisy data; 1 for noise-free data). The
-    trace records phase-aligned NRMSE against `trace_target` (after the
-    same de-scaling) over the probe-covered region every `eval_every`
-    iterations plus iterations 0 and max_iters; without a target the NRMSE
-    column is NaN.
+    starting from v_j = P_j(init), with w and z in one scratch stack. The
+    reconstruction is the weighted back-projection of the final v, divided
+    by `descale` (the simulator's amplitude scale factor for noisy data; 1
+    for noise-free data). The trace records phase-aligned NRMSE against
+    `trace_target` (after the same de-scaling) over the probe-covered region
+    every `eval_every` iterations plus iterations 0 and max_iters; without
+    a target the NRMSE column is NaN.
 
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
     check_solver_inputs(y, probe, grid, init)
     coverage = build_coverage(probe, grid, params.kappa)
 
-    def first(v, w, z, y):
-        agent_update(v, y, probe, params.alpha, out=w)
-        np.multiply(2, w, out=z)
-        np.subtract(z, v, out=z)
+    def first(v, a, y):
+        t = np.multiply(2 * params.rho, agent_update(v, y, probe, params.alpha, out=a))
+        np.subtract(np.multiply(2, a, out=a), v, out=a)
+        np.subtract(v, t, out=v)
 
-    def couple(z):
-        consensus(z, probe, coverage, grid, out=z)
+    def couple(a):
+        consensus(a, probe, coverage, grid, out=a)
 
-    def second(v, w, z):
-        np.subtract(z, w, out=z)
-        np.multiply(2 * params.rho, z, out=z)
-        np.add(v, z, out=v)
+    def second(v, a):
+        np.add(v, np.multiply(2 * params.rho, a, out=a), out=v)
 
     return iterate_stack(
         first, couple, second, stitch_weighted, extract_stack(init, grid), y, coverage,

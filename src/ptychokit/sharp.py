@@ -93,25 +93,24 @@ def p_q(
 def block_steps(beta: float, variant: str):
     """(first, second): the per-block halves of one in-place SHARP update.
 
-        first(s, a, b, y):  a <- P_a s;  s <- sign beta s;  b <- 2 beta a + s
-        second(s, a, b):    s <- b + (1 - 2 beta) a - s
+        first(s, a, y):  a <- P_a s;  t <- sign beta s;  s <- (1 - 2 beta) a - t;
+                         a <- 2 beta a + t
+        second(s, a):    s <- a + s
 
-    With b <- P_Q(b) between them this is s <- P_Q(2 beta P_a s + sign beta s)
-    + (1 - 2 beta) P_a s - sign beta s, with sign -1 for SHARP+ and +1 for
-    SHARP. Each half works on any run of frames s, a, b and y share.
+    With a <- P_Q(a) between them this is s <- P_Q(2 beta P_a s + sign beta s)
+    + ((1 - 2 beta) P_a s - sign beta s), with sign -1 for SHARP+ and +1 for
+    SHARP; t is block-sized. Each half works on any run of frames s, a and y share.
     """
     sign = -1.0 if variant == "sharp_plus" else 1.0
 
-    def first(s, a, b, y):
+    def first(s, a, y):
         p_a(s, y, out=a)
-        np.multiply(sign * beta, s, out=s)
-        np.multiply(2 * beta, a, out=b)
-        np.add(b, s, out=b)
+        t = np.multiply(sign * beta, s)
+        np.subtract(np.multiply(1 - 2 * beta, a, out=s), t, out=s)
+        np.add(np.multiply(2 * beta, a, out=a), t, out=a)
 
-    def second(s, a, b):
-        np.multiply(1 - 2 * beta, a, out=a)
-        np.add(b, a, out=b)
-        np.subtract(b, s, out=s)
+    def second(s, a):
+        np.add(a, s, out=s)
 
     return first, second
 
@@ -139,8 +138,8 @@ def sharp_iterate(
     coverage2 = build_coverage(probe, grid, 2.0)
     first, second = block_steps(params.beta, params.variant)
 
-    def couple(b):
-        p_q(b, probe, grid, coverage2, out=b)
+    def couple(a):
+        p_q(a, probe, grid, coverage2, out=a)
 
     frames = extract_stack(init, grid, weight=probe)
     return iterate_stack(

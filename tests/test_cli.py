@@ -384,6 +384,26 @@ class TestDatasetFiles:
         assert err == f"error: {path}: values must be finite\n"
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    def test_overflow_in_a_solve_exits_3_with_one_stderr_line(self, tmp_path, dataset_dir,
+                                                               command, workers):
+        # 1e308 passes the load checks; the solve overflows, and a fresh process
+        # shows every NumPy warning that reaches stderr
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        pk.write_cfld(ds / "y_0002.cfld", np.full((16, 16), 1e308 + 0j))
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION, iterations=3))
+        argv = [command, "--config", cfg, "--dataset", str(ds), "--out", str(tmp_path / "out"),
+                "--workers", workers]
+        if command == "sweep":
+            argv += ["--param", "alpha", "--values", "0.1,0.2"]
+        proc = subprocess.run([sys.executable, "-m", "ptychokit", *argv],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 3
+        assert proc.stderr == "error: non-finite values in iterate at iteration 1\n"
+
+
 class TestDatasetReads:
     """Each command reads only the dataset files it uses."""
 

@@ -9,6 +9,7 @@ ways, whatever the output buffer held before.
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -269,3 +270,45 @@ def test_traced_result_has_the_bits_of_the_final_stitch(solver, iters, eval_ever
     assert traced.tobytes() == plain.tobytes()
     mask = pk.build_coverage(probe, grid, params.kappa if solver == "pmace" else 2.0).covered_mask
     assert rows[-1][1] == pk.nrmse_phase_aligned(plain, x, mask)
+
+
+def three_stack_solve(inst, params, iters):
+    """The solvers' updates in the grouping they had with three stacks:
+
+        PMACE:  v <- v + 2 rho (G(2w - v) - w)
+        SHARP:  s <- (P_Q(2 beta P_a s + sign beta s) + (1 - 2 beta) P_a s) - sign beta s
+    """
+    y, probe, grid = inst["y"], inst["probe"], inst["grid"]
+    init = np.ones(grid.image_shape, dtype=np.complex128)
+    if isinstance(params, pk.PmaceParams):
+        alpha, rho, cov = params.alpha, params.rho, pk.build_coverage(probe, grid, params.kappa)
+        v = extract_stack(init, grid)
+        for _ in range(iters):
+            w = agent_update(v, y, probe, alpha)
+            v = v + 2 * rho * (consensus(2 * w - v, probe, cov, grid) - w)
+        return stitch_weighted(v, probe, cov, grid)
+    beta, sign = params.beta, -1.0 if params.variant == "sharp_plus" else 1.0
+    cov2 = pk.build_coverage(probe, grid, 2.0)
+    s = extract_stack(init, grid, weight=probe)
+    for _ in range(iters):
+        a = p_a(s, y)
+        s = (p_q(2 * beta * a + sign * beta * s, probe, grid, cov2) + (1 - 2 * beta) * a
+             - sign * beta * s)
+    return stitch_frames(s, probe, cov2, grid)
+
+
+@pytest.mark.parametrize("solver", ["pmace", "sharp", "sharp_plus"])
+def test_two_stack_updates_stay_within_rounding_of_the_three_stack_grouping(desk, solver):
+    # the two-stack updates add the last two terms in another order; over
+    # 100 desk-scale iterations that may move the result by rounding only
+    iters = 100
+    init = np.ones(desk["grid"].image_shape, dtype=np.complex128)
+    if solver == "pmace":
+        params = pk.PmaceParams(alpha=0.1, rho=0.5, kappa=1.25, max_iters=iters)
+        solve = pk.mann_iterate
+    else:
+        params = pk.SharpParams(beta=0.45, max_iters=iters, variant=solver)
+        solve = pk.sharp_iterate
+    recon, _ = solve(desk["y"], desk["probe"], desk["grid"], params, init)
+    oracle = three_stack_solve(desk, params, iters)
+    assert np.linalg.norm(recon - oracle) / np.linalg.norm(oracle) <= 1e-12

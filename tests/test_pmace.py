@@ -280,9 +280,10 @@ class TestMannIterate:
             )
 
     def test_matches_allocating_reference_loop(self, small):
-        # The solver runs in place on a workspace; this loop spells out
-        # the same arithmetic with a fresh array per expression, operand
-        # order included, so the two must agree to the last bit.
+        # The solver runs in place on a two-stack workspace; this loop
+        # spells out the same arithmetic with a fresh array per expression,
+        # operand order and grouping included, so the two must agree to
+        # the last bit.
         y, d, grid = small["y"], small["probe"], small["grid"]
         alpha, rho, kappa = 0.2, 0.5, 1.25
         params = PmaceParams(alpha=alpha, rho=rho, kappa=kappa, max_iters=10)
@@ -310,7 +311,7 @@ class TestMannIterate:
             fx = fft2_orthonormal(d * v)
             w = (alpha * v + dinv * ifft2_orthonormal(y * phase(fx))) / (1 + alpha)
             z = extract_stack(stitch(2 * w - v), grid)
-            v = v + 2 * rho * (z - w)
+            v = (v - 2 * rho * w) + 2 * rho * z
             errs.append(pk.nrmse_phase_aligned(stitch(v) / 1.5, small["truth"], small["mask"]))
         np.testing.assert_array_equal(recon, stitch(v) / 1.5)
         assert [err for _, err, _ in rows] == errs

@@ -89,15 +89,15 @@ class TestSharpIterate:
         s = random_stack(small["grid"], seed=20 + seed)
         probe, grid, beta = small["probe"], small["grid"], 0.45
         expected = two_projection_update(s, small["y"], probe, grid, beta, variant)
-        fused, a, b = s.copy(), np.empty_like(s), np.empty_like(s)
+        fused, a = s.copy(), np.empty_like(s)
         first, second = block_steps(beta, variant)
         # blocks of unequal length, as the last block of a solve can be
         blocks = [slice(0, 5), slice(5, None)]
         for k in blocks:
-            first(fused[k], a[k], b[k], small["y"][k])
-        p_q(b, probe, grid, pk.build_coverage(probe, grid, 2.0), out=b)
+            first(fused[k], a[k], small["y"][k])
+        p_q(a, probe, grid, pk.build_coverage(probe, grid, 2.0), out=a)
         for k in blocks:
-            second(fused[k], a[k], b[k])
+            second(fused[k], a[k])
         assert np.linalg.norm(fused - expected) / np.linalg.norm(expected) < 1e-12
 
     @pytest.mark.parametrize("variant", ["sharp", "sharp_plus"])
