@@ -21,7 +21,6 @@ from .fields import (
     extract_stack,
     fft2_orthonormal,
     read_cfld,
-    scale_parts,
     write_cfld,
 )
 from .pmace import frame_blocks
@@ -63,49 +62,13 @@ def make_scan_grid(
     return ScanGrid(offsets=offsets, patch_size=probe_size, image_shape=tuple(image_shape))
 
 
-def _real_fft2(g: np.ndarray) -> np.ndarray:
-    """Unnormalized 2D DFT of a real image g, as pocketfft's C++ library computes it.
-
-    That library transforms real input with an r2c pass over axis 1 and
-    a c2c pass over axis 0 on the n2//2 + 1 columns that gives. It then
-    fills each remaining entry (i, j) row by row with conj of entry
-    (-i, -j); columns 0 and n2/2 mirror into themselves, so there the
-    fill conjugates entries it has already computed.
-    """
-    n1, n2 = g.shape
-    h = n2 // 2 + 1
-    spectrum = np.empty((n1, n2), dtype=np.complex128)
-    np.fft.rfft(g, axis=1, out=spectrum[:, :h])
-    np.fft.fft(spectrum[:, :h], axis=0, out=spectrum[:, :h])
-    rows = np.arange(n1)
-    mirror = -rows % n1
-    spectrum[:, h:] = np.conj(spectrum[mirror, n2 - h : 0 : -1])
-    # On a self-mirrored column the fill leaves row i as computed where its
-    # mirror -i comes later (the two writes cancel) and sets it to
-    # conj(row -i) elsewhere, rows 0 and n1/2 included.
-    later = mirror <= rows
-    for col in (0, n2 // 2) if n2 % 2 == 0 else (0,):
-        spectrum[later, col] = np.conj(spectrum[mirror[later], col])
-    return spectrum
-
-
-def _ifft2(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse 2D DFT in the same library's order: axis 0, scaled by
-    1/(n1 n2) computed in long double, then axis 1."""
-    n1, n2 = spectrum.shape
-    out = np.fft.ifft(spectrum, axis=0, norm="forward")
-    scale_parts(out, float(1 / np.longdouble(n1 * n2)))
-    return np.fft.ifft(out, axis=1, norm="forward", out=out)
-
-
 def _smooth_unit_field(rng: np.random.Generator, shape, cutoff: float) -> np.ndarray:
     """Band-limited random field min-max normalized to [0, 1]."""
     g = rng.standard_normal(shape)
-    spectrum = _real_fft2(g)
     fr = np.fft.fftfreq(shape[0])[:, None]
-    fc = np.fft.fftfreq(shape[1])[None, :]
+    fc = np.fft.rfftfreq(shape[1])[None, :]
     lowpass = np.exp(-(fr**2 + fc**2) / (2 * cutoff**2))
-    s = _ifft2(spectrum * lowpass).real
+    s = np.fft.irfft2(np.fft.rfft2(g) * lowpass, s=shape)
     return (s - s.min()) / (s.max() - s.min())
 
 
@@ -339,7 +302,7 @@ def load_dataset(path) -> Dataset:
     with open(manifest_path) as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path} does not hold a JSON object")

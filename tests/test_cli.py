@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,72 @@ class TestDatasetFiles:
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 3
         assert proc.stderr == "error: non-finite values in iterate at iteration 1\n"
+
+
+def divisor_pairs(n):
+    return [(d, n // d) for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def mutated_bytes(draw, raw, cfld):
+    """``raw`` truncated, appended to, overwritten in one byte range, or (for
+    a CFLD file) with its header's rows and cols rewritten: either any u64
+    pair or a pair whose product still matches the payload."""
+    kinds = ["truncate", "append", "overwrite"] + (["header"] if cfld else [])
+    kind = draw(st.sampled_from(kinds), label="mutation")
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return raw + draw(st.binary(min_size=1, max_size=64))
+    if kind == "overwrite":
+        start = draw(st.integers(0, len(raw) - 1))
+        patch = draw(st.binary(min_size=1, max_size=64))[:len(raw) - start]
+        return raw[:start] + patch + raw[start + len(patch):]
+    u64 = st.integers(0, 2**64 - 1)
+    sizes = draw(st.tuples(u64, u64) | st.sampled_from(divisor_pairs((len(raw) - 24) // 16)))
+    return raw[:8] + struct.pack("<QQ", *sizes) + raw[24:]
+
+
+class TestDatasetMutations:
+    """A dataset file damaged in any way leaves every command on the exit-code
+    contract: 0, 2 or 3, and one stderr line whenever it is not 0."""
+
+    @pytest.fixture(scope="class")
+    def recon(self, dataset_dir, tmp_path_factory):
+        """A reconstruction of the undamaged dataset, for evaluate."""
+        out = tmp_path_factory.mktemp("recon") / "run"
+        cfg = write_config(out.parent / "c.yaml", solver=dict(SOLVER_SECTION, iterations=2))
+        assert main(["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+                     "--out", str(out), "--workers", "1"]) == 0
+        return out / "recon.cfld"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["pmace", "sharp", "sharp_plus"]),
+           stack=st.sampled_from(["clean", "noisy"]))
+    def test_mutated_dataset_file_exits_0_2_or_3_with_one_line(self, dataset_dir, recon, data,
+                                                                name, stack):
+        files = ["manifest.json", "truth.cfld", "probe.cfld", "y_0004.cfld", "yn_0007.cfld"]
+        victim = data.draw(st.sampled_from(files), label="file")
+        raw = (dataset_dir / victim).read_bytes()
+        changed = data.draw(mutated_bytes(raw, victim.endswith(".cfld")), label="bytes")
+        solver = dict(SOLVER_SECTION, name=name, beta=0.45, iterations=2, data=stack)
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = Path(tmp) / "ds"
+            shutil.copytree(dataset_dir, ds)
+            (ds / victim).write_bytes(changed)
+            cfg = write_config(Path(tmp) / "c.yaml", solver=solver)
+            for argv in (["reconstruct", "--config", cfg, "--dataset", str(ds),
+                          "--out", str(Path(tmp) / "o"), "--workers", "1"],
+                         ["evaluate", "--recon", str(recon), "--dataset", str(ds)]):
+                with warnings.catch_warnings(record=True) as warned:
+                    warnings.simplefilter("always")
+                    code, err = main_quietly(argv)
+                assert code in (0, 2, 3), argv[0]
+                # a warning would be printed on stderr outside the test
+                lines = err.splitlines() + [str(w.message) for w in warned]
+                assert code == 0 or (err.startswith("error: ") and len(lines) == 1), lines
+                assert code != 0 or not lines, lines
+                assert code != 2 or victim in err, err
 
 
 class TestDatasetReads:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -83,37 +84,74 @@ class TestOrthonormalFFT:
             np.testing.assert_array_equal(batched[j], fft2_orthonormal(stack[j]))
 
 
-# Shapes whose scale 1/sqrt(n1 n2) takes the general path: non-square fields.
-NON_SQUARE = ((1, 2), (2, 1), (5, 1), (1, 7), (3, 4), (37, 53), (53, 37), (64, 32), (100, 17))
+NON_SQUARE = ((1, 2), (2, 1), (5, 1), (1, 7), (3, 4), (37, 53), (53, 37), (64, 32), (100, 17),
+              (64, 16), (16, 64))
+
+
+def power_of_4(n: int) -> bool:
+    return n & (n - 1) == 0 and n.bit_length() % 2 == 1
 
 
 class TestScipyParity:
-    """The NumPy transforms keep the bits of scipy.fft's 2D transforms,
-    which earlier datasets and reconstructions were written with."""
+    """The NumPy transforms agree with scipy.fft's 2D transforms, which
+    earlier datasets and reconstructions were written with: bit for bit
+    where both transformed axis lengths are powers of 4 (each pass's
+    scale 1/sqrt(n) is then a power of 2, so no rounding depends on when
+    it is applied), and to 1e-15 of max|F| elsewhere."""
 
     @pytest.fixture(autouse=True)
     def scipy_fft(self):
         return pytest.importorskip("scipy.fft")
 
-    def assert_same_bits(self, scipy_fft, f):
+    def assert_agrees(self, scipy_fft, f):
+        exact = all(map(power_of_4, f.shape[-2:]))
         for ours, theirs in ((fft2_orthonormal, scipy_fft.fft2),
                              (ifft2_orthonormal, scipy_fft.ifft2)):
-            expected = theirs(f, norm="ortho").tobytes()
-            assert ours(f).tobytes() == expected, f.shape
+            expected = theirs(f, norm="ortho")
             work = f.copy()
-            assert ours(work, out=work).tobytes() == expected, f.shape
+            for got in (ours(f), ours(work, out=work)):
+                if exact:
+                    assert got.tobytes() == expected.tobytes(), f.shape
+                else:
+                    gap = np.abs(got - expected).max() / np.abs(expected).max()
+                    assert gap <= 1e-15, (f.shape, gap)
 
     def test_square_sizes(self, scipy_fft):
         for n in range(1, 130):
-            self.assert_same_bits(scipy_fft, random_field((n, n), seed=n))
+            self.assert_agrees(scipy_fft, random_field((n, n), seed=n))
+        self.assert_agrees(scipy_fft, random_field((256, 256), seed=256))
 
     def test_non_square_shapes(self, scipy_fft):
         for shape in NON_SQUARE:
-            self.assert_same_bits(scipy_fft, random_field(shape, seed=sum(shape)))
+            self.assert_agrees(scipy_fft, random_field(shape, seed=sum(shape)))
 
     def test_stacks(self, scipy_fft):
         for shape in ((3, 64, 64), (2, 3, 5, 5), (4, 6, 10)):
-            self.assert_same_bits(scipy_fft, random_field(shape, seed=len(shape)))
+            self.assert_agrees(scipy_fft, random_field(shape, seed=len(shape)))
+
+
+class TestPinnedBytes:
+    """On 64x64 frames, the solvers' frame size on every benchmark workload,
+    the transforms keep the bytes they had when the first pass was scaled
+    by 1/sqrt(n1 n2) in long double; the SHA-256 values were taken from
+    that version with NumPy 2.4.6."""
+
+    NUMPY = "2.4.6"
+    SHA256 = {
+        "fft2_orthonormal": "6bc9abc5dbb3356774b248b21b5f170906fe0b60aafd37be0e269564e439415e",
+        "ifft2_orthonormal": "cc1b24086d5bd0d464de1c778c256596e6d9bafce0013bcc0920d5321dcabccd",
+    }
+
+    @pytest.mark.parametrize("transform", [fft2_orthonormal, ifft2_orthonormal],
+                             ids=lambda t: t.__name__)
+    def test_64x64_stack_keeps_its_bytes(self, transform):
+        if np.__version__ != self.NUMPY:
+            pytest.skip(f"hashes recorded with NumPy {self.NUMPY}, running {np.__version__}")
+        rng = np.random.default_rng(64)
+        f = rng.standard_normal((4, 64, 64)) + 1j * rng.standard_normal((4, 64, 64))
+        expected = self.SHA256[transform.__name__]
+        assert hashlib.sha256(transform(f).tobytes()).hexdigest() == expected
+        assert hashlib.sha256(transform(f, out=f).tobytes()).hexdigest() == expected
 
 
 class TestScanGridAndPatches:

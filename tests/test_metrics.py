@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptychokit as pk
 from ptychokit.metrics import (
     nrmse_phase_aligned,
     read_trace_csv,
@@ -105,11 +111,51 @@ class TestPhaseAlignedNrmse:
             mask = rng.random(n) < 0.6
             mask[0] = True
         xm, xhm = (x, xhat) if mask is None else (x[mask], xhat[mask])
-        # the expression the function evaluated before, with two temporaries
+        # the BLAS expression the function evaluated before: np.vdot and the
+        # scaled sums of np.linalg.norm, which round differently from einsum.
+        # Forming the residual loses about eps * ||x|| whatever the sums do,
+        # so the NRMSE is known to eps * (1 + NRMSE): relative where it is
+        # large (x at 1e-150), absolute where it is pure rounding (x at 1e150)
         cross = np.vdot(xm, xhm)
         theta = 0.0 if cross == 0 else np.angle(cross)
         expected = float(np.linalg.norm(xhm - np.exp(1j * theta) * xm) / np.linalg.norm(xm))
-        assert repr(nrmse_phase_aligned(xhat, x, mask)) == repr(expected)
+        assert abs(nrmse_phase_aligned(xhat, x, mask) - expected) <= 1e-14 * (1 + expected)
+
+
+# OpenBLAS splits a complex dot product over its threads only above this
+# many elements: an NRMSE taken with np.vdot gave the same repr at 1 and 2
+# threads up to n = 10,000 and differed from n = 10,001 on.
+OPENBLAS_THREADING_THRESHOLD = 10_000
+
+# A field against a perturbed, rotated copy of itself on the pixels the
+# desk-scale scan covers (23,412 of the 176x176 image), the region over
+# which trace.csv's and evaluate's NRMSE are taken.
+DESK_NRMSE_SCRIPT = """
+import numpy as np
+import ptychokit as pk
+grid = pk.make_scan_grid((176, 176), 64, (8, 8), 14)
+mask = pk.build_coverage(pk.synth_probe(64, 11), grid, 1.25).covered_mask
+rng = np.random.default_rng(5)
+r = rng.standard_normal((4, 176, 176))
+x = r[0] + 1j * r[1]
+xhat = x * np.exp(0.7j) + 0.1 * (r[2] + 1j * r[3])
+print(int(mask.sum()), repr(pk.nrmse_phase_aligned(xhat, x, mask)))
+"""
+
+
+class TestBlasThreads:
+    def test_nrmse_does_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(pk.__file__).resolve().parents[1])
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", DESK_NRMSE_SCRIPT],
+                                  capture_output=True, text=True, env=env, check=True)
+            printed.append(proc.stdout)
+        covered = int(printed[0].split()[0])
+        assert covered > OPENBLAS_THREADING_THRESHOLD
+        assert printed[0] == printed[1]
 
 
 class TestTraceCsv:

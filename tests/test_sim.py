@@ -74,7 +74,9 @@ class TestSynthObject:
     @pytest.mark.parametrize("shape", [(5, 1), (1, 6), (2, 2), (33, 33), (64, 64), (176, 176),
                                        (37, 53), (53, 37), (48, 20), (99, 100)])
     def test_same_bits_as_scipy_fft(self, shape):
-        """synth_object keeps the bits it had when it transformed with scipy.fft."""
+        """synth_object stays within 1e-13 of the object it was when it
+        transformed with scipy.fft (measured: at most 3.2e-15); the bits
+        moved when the real-input transform stopped replaying that library."""
         sfft = pytest.importorskip("scipy.fft")
         rng = np.random.default_rng(7)
 
@@ -89,7 +91,7 @@ class TestSynthObject:
         amp = 0.5 + 0.5 * smooth()
         pha = -np.pi / 2 + np.pi * smooth()
         expected = amp * np.exp(1j * pha)
-        assert pk.synth_object(shape, seed=7).tobytes() == expected.tobytes()
+        assert np.abs(pk.synth_object(shape, seed=7) - expected).max() <= 1e-13
 
 
 class TestSynthProbe:
@@ -320,6 +322,15 @@ class TestDatasetIo:
         out, _ = self._write(tmp_path, small, with_noise=False)
         (out / MANIFEST_NAME).write_text("{\n")
         with pytest.raises(ValueError, match="manifest.json: not valid JSON: Expecting"):
+            pk.load_dataset(out)
+
+    def test_manifest_that_is_not_utf8_rejected(self, tmp_path, small):
+        # found by the dataset-mutation property test: a byte overwrite left
+        # an error that named neither the file nor the dataset
+        out, _ = self._write(tmp_path, small, with_noise=False)
+        raw = (out / MANIFEST_NAME).read_bytes()
+        (out / MANIFEST_NAME).write_bytes(raw[:5] + b"\xff" + raw[6:])
+        with pytest.raises(ValueError, match="manifest.json: not valid JSON: 'utf-8' codec"):
             pk.load_dataset(out)
 
     def test_probe_shape_checked_against_manifest(self, tmp_path, small):
