@@ -137,9 +137,7 @@ def extract_stack(
 
 
 def accumulate_stack(
-    stack: np.ndarray,
-    grid: ScanGrid,
-    weight: np.ndarray | None = None,
+    stack: np.ndarray, grid: ScanGrid, weight: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scatter-add a (J, N_p, N_p) stack into a zero image.
@@ -154,6 +152,13 @@ def accumulate_stack(
     if out is None:
         out = np.empty(grid.image_shape, dtype=np.complex128)
     out.fill(0)
+    return scatter_add(stack, grid, weight, out)
+
+
+def scatter_add(
+    stack: np.ndarray, grid: ScanGrid, weight: np.ndarray | None, out: np.ndarray,
+) -> np.ndarray:
+    """:func:`accumulate_stack` into ``out`` as it is, so a stack can be added block by block."""
     n = grid.patch_size
     for j, (r, c) in enumerate(grid.offsets):
         out[r : r + n, c : c + n] += stack[j] if weight is None else weight * stack[j]

@@ -15,10 +15,11 @@ T = (2G - I)(2F - I) with weight rho.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (
@@ -32,6 +33,7 @@ from .fields import (
     extract_stack,
     fft2_orthonormal,
     ifft2_orthonormal,
+    scatter_add,
 )
 from .metrics import nrmse_phase_aligned
 
@@ -139,10 +141,7 @@ def agent_update(
 
 
 def stitch_weighted(
-    stack: np.ndarray,
-    probe: np.ndarray,
-    coverage: CoverageMap,
-    grid: ScanGrid,
+    stack: np.ndarray, probe: np.ndarray, coverage: CoverageMap, grid: ScanGrid,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """|d|^kappa-weighted back-projection normalized on the covered region.
@@ -157,17 +156,16 @@ def stitch_weighted(
 
 
 def consensus(
-    stack: np.ndarray,
-    probe: np.ndarray,
-    coverage: CoverageMap,
-    grid: ScanGrid,
+    stack: np.ndarray, probe: np.ndarray, coverage: CoverageMap, grid: ScanGrid,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted-average projection onto mutually consistent patch stacks.
 
-    ``out`` may be ``stack`` itself.
+    ``stack`` may instead be the image :func:`stitch_weighted` makes of
+    it, as the solvers build it block by block; then only the patches at
+    ``grid``'s positions are extracted. ``out`` may be ``stack`` itself.
     """
-    image = stitch_weighted(stack, probe, coverage, grid)
+    image = stack if stack.ndim == 2 else stitch_weighted(stack, probe, coverage, grid)
     return extract_stack(image, grid, out=out)
 
 
@@ -177,14 +175,10 @@ def check_solver_inputs(
     """Reject solver inputs that do not fit the grid, before any work."""
     n = grid.patch_size
     if init.shape != grid.image_shape:
-        raise ValueError(
-            f"init shape {init.shape} does not match image {grid.image_shape}"
-        )
+        raise ValueError(f"init shape {init.shape} does not match image {grid.image_shape}")
     if y.shape != (len(grid), n, n):
-        raise ValueError(
-            f"amplitude stack shape {y.shape} does not match grid "
-            f"({len(grid)}, {n}, {n})"
-        )
+        raise ValueError(f"amplitude stack shape {y.shape} does not match grid "
+                         f"({len(grid)}, {n}, {n})")
     if probe.shape != (n, n):
         raise ValueError(f"probe shape {probe.shape} does not match patch size ({n}, {n})")
     if not np.any(probe):
@@ -207,29 +201,44 @@ def frame_blocks(frames: int, workers: int):
 
 
 def iterate_stack(
-    first, couple, second, stitch, s: np.ndarray, y: np.ndarray, coverage: CoverageMap,
-    probe: np.ndarray, grid: ScanGrid, params, trace_target: np.ndarray | None,
-    descale: float, workers: int = 1,
+    first, weight, couple, second, stitch, s: np.ndarray, y: np.ndarray,
+    coverage: CoverageMap, probe: np.ndarray, grid: ScanGrid, params,
+    trace_target: np.ndarray | None, descale: float, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
-    """The loop both solvers share: workspace, frame blocks, trace and NaN guard.
+    """The loop both solvers share: frame blocks, streamed coupling, trace and NaN guard.
 
-    ``s``, the solver's starting (J, N_p, N_p) stack, is updated in place
-    with one scratch stack a. An iteration runs ``first(s[k], a[k], y[k])``,
-    which leaves the coupling's input in a and the rest of the update in s,
-    on every block k of BLOCK_FRAMES frames, ``couple(a)`` on the whole
-    stack, then ``second(s[k], a[k])`` and the NaN guard per block. Blocks
-    run on min(workers, blocks) threads and touch only their own frames;
-    the coupling runs on the calling thread, so results do not depend on
-    ``workers``. ``stitch(s, probe, coverage, grid, out=image)``
-    gives the result and the image whose NRMSE over the covered region is traced.
+    ``s``, the solver's starting (J, N_p, N_p) stack, is the only stack; it is
+    updated in place. On each block k of BLOCK_FRAMES frames an iteration runs
+    ``first(s[k], a, y[k])``, which leaves the coupling's input in the thread's
+    block buffer a, and then, in block order, adds ``weight * a`` into the image.
+    The image is divided by the coverage map once, and each block then runs
+    ``second(s[k], couple(image, block_grid, out=a))`` and the NaN guard. Blocks
+    run on min(workers, blocks) threads; the image is summed in frame order, so
+    results do not depend on ``workers``. ``stitch(s, probe, coverage, grid,
+    out=image)`` gives the result and the image whose NRMSE is traced.
     """
-    a = np.empty_like(s)
     image = np.empty(grid.image_shape, dtype=np.complex128)
+    buffers = threading.local()
     start = time.perf_counter()
     rows: list[tuple[int, float, float]] = []
 
-    def second_block(k: slice) -> bool:
-        second(s[k], a[k])
+    def buffer(k: slice) -> np.ndarray:
+        if not hasattr(buffers, "a"):
+            buffers.a = np.empty_like(s[:BLOCK_FRAMES])
+        return buffers.a[: len(s[k])]
+
+    def first_block(k: slice, block_grid: ScanGrid, turn, next_turn) -> None:
+        a = buffer(k)
+        try:
+            first(s[k], a, y[k])
+            turn.wait()
+            scatter_add(a, block_grid, weight, image)
+        finally:  # the turn passes on after a failure too, so no later block waits forever
+            turn.wait()
+            next_turn.set()
+
+    def second_block(k: slice, block_grid: ScanGrid) -> bool:
+        second(s[k], couple(image, block_grid, out=buffer(k)))
         return bool(np.isfinite(s[k]).all())
 
     def descaled_image() -> np.ndarray:
@@ -244,11 +253,15 @@ def iterate_stack(
         rows.append((iteration, err, time.perf_counter() - start))
 
     with frame_blocks(len(s), workers) as (blocks, run):
+        grids = [replace(grid, offsets=grid.offsets[k]) for k in blocks]
         record(0)
         for t in range(1, params.max_iters + 1):
-            list(run(lambda k: first(s[k], a[k], y[k]), blocks))
-            couple(a)
-            if not all(list(run(second_block, blocks))):
+            image.fill(0)
+            turns = [threading.Event() for _ in range(len(blocks) + 1)]
+            turns[0].set()
+            list(run(first_block, blocks, grids, turns, turns[1:]))
+            divide_where_covered(image, coverage, out=image)
+            if not all(list(run(second_block, blocks, grids))):
                 raise NumericalFailure(t)
             if t % params.eval_every == 0 or t == params.max_iters:
                 record(t)
@@ -257,14 +270,8 @@ def iterate_stack(
 
 
 def mann_iterate(
-    y: np.ndarray,
-    probe: np.ndarray,
-    grid: ScanGrid,
-    params: PmaceParams,
-    init: np.ndarray,
-    trace_target: np.ndarray | None = None,
-    descale: float = 1.0,
-    workers: int = 1,
+    y: np.ndarray, probe: np.ndarray, grid: ScanGrid, params: PmaceParams, init: np.ndarray,
+    trace_target: np.ndarray | None = None, descale: float = 1.0, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """Run the PMACE Mann iteration and return (reconstruction, trace).
 
@@ -272,7 +279,7 @@ def mann_iterate(
 
         w <- F(v);  z <- G(2w - v);  v <- (v - 2 rho w) + 2 rho z
 
-    starting from v_j = P_j(init), with w and z in one scratch stack. The
+    starting from v_j = P_j(init), with w and z in a block buffer. The
     reconstruction is the weighted back-projection of the final v, divided
     by `descale` (the simulator's amplitude scale factor for noisy data; 1
     for noise-free data). The trace records phase-aligned NRMSE against
@@ -290,13 +297,12 @@ def mann_iterate(
         np.subtract(np.multiply(2, a, out=a), v, out=a)
         np.subtract(v, t, out=v)
 
-    def couple(a):
-        consensus(a, probe, coverage, grid, out=a)
-
     def second(v, a):
         np.add(v, np.multiply(2 * params.rho, a, out=a), out=v)
 
     return iterate_stack(
-        first, couple, second, stitch_weighted, extract_stack(init, grid), y, coverage,
+        first, amplitude_power(probe, params.kappa),
+        lambda image, g, out: consensus(image, probe, coverage, g, out=out),
+        second, stitch_weighted, extract_stack(init, grid), y, coverage,
         probe, grid, params, trace_target, descale, workers,
     )

@@ -58,10 +58,7 @@ class SharpParams:
 
 
 def stitch_frames(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    coverage2: CoverageMap,
-    grid: ScanGrid,
+    frames: np.ndarray, probe: np.ndarray, coverage2: CoverageMap, grid: ScanGrid,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Image estimate (sum_k P_k^t |d|^2)^{-1} sum_j P_j^t conj(d) s_j.
@@ -74,20 +71,20 @@ def stitch_frames(
 
 
 def p_q(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    grid: ScanGrid,
-    coverage2: CoverageMap | None = None,
-    out: np.ndarray | None = None,
+    frames: np.ndarray, probe: np.ndarray, grid: ScanGrid,
+    coverage2: CoverageMap | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Consistency projection: back-project, normalize, re-illuminate.
 
-    ``out`` may be ``frames`` itself.
+    ``frames`` may instead be the image :func:`stitch_frames` makes of
+    them, as the solvers build it block by block; then only the frames at
+    ``grid``'s positions are re-illuminated. ``out`` may be ``frames`` itself.
     """
-    if coverage2 is None:
-        coverage2 = build_coverage(probe, grid, 2.0)
-    image = stitch_frames(frames, probe, coverage2, grid)
-    return extract_stack(image, grid, weight=probe, out=out)
+    if frames.ndim == 3:
+        if coverage2 is None:
+            coverage2 = build_coverage(probe, grid, 2.0)
+        frames = stitch_frames(frames, probe, coverage2, grid)
+    return extract_stack(frames, grid, weight=probe, out=out)
 
 
 def block_steps(beta: float, variant: str):
@@ -116,14 +113,8 @@ def block_steps(beta: float, variant: str):
 
 
 def sharp_iterate(
-    y: np.ndarray,
-    probe: np.ndarray,
-    grid: ScanGrid,
-    params: SharpParams,
-    init: np.ndarray,
-    trace_target: np.ndarray | None = None,
-    descale: float = 1.0,
-    workers: int = 1,
+    y: np.ndarray, probe: np.ndarray, grid: ScanGrid, params: SharpParams, init: np.ndarray,
+    trace_target: np.ndarray | None = None, descale: float = 1.0, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """Run the selected SHARP variant and return (reconstruction, trace).
 
@@ -138,11 +129,9 @@ def sharp_iterate(
     coverage2 = build_coverage(probe, grid, 2.0)
     first, second = block_steps(params.beta, params.variant)
 
-    def couple(a):
-        p_q(a, probe, grid, coverage2, out=a)
-
     frames = extract_stack(init, grid, weight=probe)
     return iterate_stack(
-        first, couple, second, stitch_frames, frames, y, coverage2,
+        first, np.conj(probe), lambda image, g, out: p_q(image, probe, g, out=out),
+        second, stitch_frames, frames, y, coverage2,
         probe, grid, params, trace_target, descale, workers,
     )

@@ -6,6 +6,7 @@ inputs untouched, with or without ``out=``, and give the same bytes both
 ways, whatever the output buffer held before.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ptychokit as pk
-from ptychokit.fields import extract_stack
+from ptychokit.fields import divide_where_covered, extract_stack, scatter_add
 from ptychokit.pmace import (
     agent_update,
     consensus,
@@ -213,6 +214,30 @@ def test_p_q_has_the_bits_of_extract_then_multiply(p):
     image = stitch_frames(p["stack"], p["probe"], p["cov2"], p["grid"])
     expected = p["probe"] * extract_stack(image, p["grid"])
     assert p_q(p["stack"], p["probe"], p["grid"], p["cov2"]).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.integers(1, 7))
+def test_couplings_streamed_block_by_block_have_the_whole_stack_bits(p, frames):
+    # the solvers' form: blocks scatter-add into one image in order, the image
+    # is normalized once, and each block reads its frames back from it
+    grid, probe, stack = p["grid"], p["probe"], p["stack"]
+    blocks = [slice(i, i + frames) for i in range(0, len(grid), frames)]
+    grids = [dataclasses.replace(grid, offsets=grid.offsets[k]) for k in blocks]
+    for weight, cov, couple, whole in (
+        (pk.amplitude_power(probe, 1.25), p["cov"],
+         lambda image, g: consensus(image, probe, p["cov"], g),
+         consensus(stack, probe, p["cov"], grid)),
+        (np.conj(probe), p["cov2"],
+         lambda image, g: p_q(image, probe, g),
+         p_q(stack, probe, grid, p["cov2"])),
+    ):
+        image = np.zeros(grid.image_shape, dtype=np.complex128)
+        for k, g in zip(blocks, grids):
+            scatter_add(stack[k], g, weight, image)
+        divide_where_covered(image, cov, out=image)
+        streamed = np.concatenate([couple(image, g) for g in grids])
+        assert streamed.tobytes() == whole.tobytes()
 
 
 def p_a_by_copy(frames, y):

@@ -1,5 +1,5 @@
-"""Solver workspace size: the iterate and one scratch stack, plus block-sized
-temporaries, whatever the worker count."""
+"""Solver workspace size: the iterate stack, the image and one block buffer
+per thread, plus block-sized temporaries, whatever the worker count."""
 
 import tracemalloc
 
@@ -21,9 +21,9 @@ def wide():
     return grid, probe, y
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("solver", ["pmace", "sharp", "sharp_plus"])
-def test_solve_holds_fewer_than_three_stacks(wide, solver, workers):
+def test_solve_holds_fewer_than_two_stacks(wide, solver, workers):
     grid, probe, y = wide
     init = np.ones(grid.image_shape, dtype=np.complex128)
     if solver == "pmace":
@@ -39,4 +39,4 @@ def test_solve_holds_fewer_than_three_stacks(wide, solver, workers):
     finally:
         tracemalloc.stop()
     stack = len(grid) * N_P * N_P * 16
-    assert peak < 3 * stack, f"peak {peak / stack:.2f} stacks"
+    assert peak < 2 * stack, f"peak {peak / stack:.2f} stacks"
