@@ -18,8 +18,8 @@ from .fields import (
     write_cfld,
 )
 from .metrics import nrmse_phase_aligned, read_trace_csv, write_trace_csv
-from .pmace import PmaceParams, agent_update, consensus, mann_iterate
-from .sharp import SharpParams, p_a, p_q, sharp_iterate
+from .pmace import PmaceParams, agent_update, consensus, mann_iterate, pmace_coupling
+from .sharp import SharpParams, p_a, p_q, sharp_coupling, sharp_iterate
 from .sim import (
     add_poisson_noise,
     forward_amplitude,
@@ -56,8 +56,10 @@ __all__ = [
     "nrmse_phase_aligned",
     "p_a",
     "p_q",
+    "pmace_coupling",
     "read_cfld",
     "read_trace_csv",
+    "sharp_coupling",
     "sharp_iterate",
     "synth_object",
     "synth_probe",

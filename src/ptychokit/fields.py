@@ -183,12 +183,10 @@ class CoverageMap:
     :param weights: scatter-add of |probe|^kappa over all offsets (the
         diagonal of the normalizer).
     :param covered_mask: boolean map, true exactly where weights > 0.
-    :param kappa: exponent the weights were built with.
     """
 
     weights: np.ndarray = field(repr=False)
     covered_mask: np.ndarray = field(repr=False)
-    kappa: float = 0.0
 
 
 def build_coverage(probe: np.ndarray, grid: ScanGrid, kappa: float) -> CoverageMap:
@@ -198,7 +196,7 @@ def build_coverage(probe: np.ndarray, grid: ScanGrid, kappa: float) -> CoverageM
     wk = amplitude_power(probe, kappa)
     weights = np.empty(grid.image_shape, dtype=np.float64)
     accumulate_stack(np.broadcast_to(wk, (len(grid), *wk.shape)), grid, out=weights)
-    return CoverageMap(weights=weights, covered_mask=weights > 0, kappa=kappa)
+    return CoverageMap(weights=weights, covered_mask=weights > 0)
 
 
 def divide_where_covered(

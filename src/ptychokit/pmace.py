@@ -140,33 +140,46 @@ def agent_update(
     return np.multiply(out, 1 / (1 + alpha), out=out)
 
 
-def stitch_weighted(
-    stack: np.ndarray, probe: np.ndarray, coverage: CoverageMap, grid: ScanGrid,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """|d|^kappa-weighted back-projection normalized on the covered region.
+@dataclass(frozen=True, repr=False, eq=False)
+class Coupling:
+    """The probe weights of one overlap average, from :func:`pmace_coupling` or
+    :func:`sharp_coupling`: scatter weight, coverage, re-illumination (1 if None)."""
 
-    Uncovered pixels are 0; the exponent is taken from the coverage map.
+    weight: np.ndarray
+    coverage: CoverageMap
+    illumination: np.ndarray | None = None
+
+
+def pmace_coupling(probe: np.ndarray, grid: ScanGrid, kappa: float) -> Coupling:
+    """PMACE's consensus G: weights |d|^kappa, their coverage, no re-illumination."""
+    return Coupling(amplitude_power(probe, kappa), build_coverage(probe, grid, kappa))
+
+
+def sharp_coupling(probe: np.ndarray, grid: ScanGrid) -> Coupling:
+    """SHARP's P_Q: weights conj d, the |d|^2 coverage, re-illumination by d."""
+    return Coupling(np.conj(probe), build_coverage(probe, grid, 2.0), probe)
+
+
+def stitch_weighted(
+    stack: np.ndarray, coupling: Coupling, grid: ScanGrid, out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The image a (J, N_p, N_p) stack couples to; uncovered pixels are 0.
 
     :param out: complex128 image to write the result into.
     """
-    weight = amplitude_power(probe, coverage.kappa)
-    image = accumulate_stack(stack, grid, weight=weight, out=out)
-    return divide_where_covered(image, coverage, out=image)
+    image = accumulate_stack(stack, grid, weight=coupling.weight, out=out)
+    return divide_where_covered(image, coupling.coverage, out=image)
 
 
 def consensus(
-    stack: np.ndarray, probe: np.ndarray, coverage: CoverageMap, grid: ScanGrid,
-    out: np.ndarray | None = None,
+    image: np.ndarray, coupling: Coupling, grid: ScanGrid, out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weighted-average projection onto mutually consistent patch stacks.
+    """The patches at ``grid``'s positions read back from ``image``, re-illuminated.
 
-    ``stack`` may instead be the image :func:`stitch_weighted` makes of
-    it, as the solvers build it block by block; then only the patches at
-    ``grid``'s positions are extracted. ``out`` may be ``stack`` itself.
+    Applied to :func:`stitch_weighted`'s image of a stack, this is the
+    projection onto mutually consistent stacks (PMACE's G, SHARP's P_Q).
     """
-    image = stack if stack.ndim == 2 else stitch_weighted(stack, probe, coverage, grid)
-    return extract_stack(image, grid, out=out)
+    return extract_stack(image, grid, weight=coupling.illumination, out=out)
 
 
 def check_solver_inputs(
@@ -201,22 +214,23 @@ def frame_blocks(frames: int, workers: int):
 
 
 def iterate_stack(
-    first, weight, couple, second, stitch, s: np.ndarray, y: np.ndarray,
-    coverage: CoverageMap, probe: np.ndarray, grid: ScanGrid, params,
-    trace_target: np.ndarray | None, descale: float, workers: int = 1,
+    first, couple, second, stitch, coupling: Coupling, init: np.ndarray, y: np.ndarray,
+    grid: ScanGrid, params, trace_target: np.ndarray | None, descale: float, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """The loop both solvers share: frame blocks, streamed coupling, trace and NaN guard.
 
-    ``s``, the solver's starting (J, N_p, N_p) stack, is the only stack; it is
-    updated in place. On each block k of BLOCK_FRAMES frames an iteration runs
-    ``first(s[k], a, y[k])``, which leaves the coupling's input in the thread's
-    block buffer a, and then, in block order, adds ``weight * a`` into the image.
-    The image is divided by the coverage map once, and each block then runs
-    ``second(s[k], couple(image, block_grid, out=a))`` and the NaN guard. Blocks
-    run on min(workers, blocks) threads; the image is summed in frame order, so
-    results do not depend on ``workers``. ``stitch(s, probe, coverage, grid,
+    ``couple`` and ``stitch`` are :func:`consensus` and :func:`stitch_weighted`
+    under the solver's own names. The stack s = ``couple(init, coupling, grid)``
+    is the only stack; it is updated in place. On each block k of BLOCK_FRAMES
+    frames an iteration runs ``first(s[k], a, y[k])``, which leaves the
+    coupling's input in the thread's block buffer a; the buffers are stitched
+    into the image in block order, and each block then runs ``second(s[k],
+    couple(image, coupling, block_grid, out=a))`` and the NaN guard. Blocks
+    run on min(workers, blocks) threads; the image is summed in frame order,
+    so results do not depend on ``workers``. ``stitch(s, coupling, grid,
     out=image)`` gives the result and the image whose NRMSE is traced.
     """
+    s = couple(init, coupling, grid)
     image = np.empty(grid.image_shape, dtype=np.complex128)
     buffers = threading.local()
     start = time.perf_counter()
@@ -232,24 +246,25 @@ def iterate_stack(
         try:
             first(s[k], a, y[k])
             turn.wait()
-            scatter_add(a, block_grid, weight, image)
+            scatter_add(a, block_grid, coupling.weight, image)
         finally:  # the turn passes on after a failure too, so no later block waits forever
             turn.wait()
             next_turn.set()
 
     def second_block(k: slice, block_grid: ScanGrid) -> bool:
-        second(s[k], couple(image, block_grid, out=buffer(k)))
+        second(s[k], couple(image, coupling, block_grid, out=buffer(k)))
         return bool(np.isfinite(s[k]).all())
 
     def descaled_image() -> np.ndarray:
-        return np.multiply(stitch(s, probe, coverage, grid, out=image), 1 / descale, out=image)
+        return np.multiply(stitch(s, coupling, grid, out=image), 1 / descale, out=image)
 
-    target = None if trace_target is None else trace_target[coverage.covered_mask]
+    covered = coupling.coverage.covered_mask
+    target = None if trace_target is None else trace_target[covered]
 
     def record(iteration: int) -> None:
         err = float("nan")
         if target is not None:
-            err = nrmse_phase_aligned(descaled_image()[coverage.covered_mask], target)
+            err = nrmse_phase_aligned(descaled_image()[covered], target)
         rows.append((iteration, err, time.perf_counter() - start))
 
     with frame_blocks(len(s), workers) as (blocks, run):
@@ -260,7 +275,7 @@ def iterate_stack(
             turns = [threading.Event() for _ in range(len(blocks) + 1)]
             turns[0].set()
             list(run(first_block, blocks, grids, turns, turns[1:]))
-            divide_where_covered(image, coverage, out=image)
+            divide_where_covered(image, coupling.coverage, out=image)
             if not all(list(run(second_block, blocks, grids))):
                 raise NumericalFailure(t)
             if t % params.eval_every == 0 or t == params.max_iters:
@@ -290,7 +305,7 @@ def mann_iterate(
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
     check_solver_inputs(y, probe, grid, init)
-    coverage = build_coverage(probe, grid, params.kappa)
+    coupling = pmace_coupling(probe, grid, params.kappa)
 
     def first(v, a, y):
         t = np.multiply(2 * params.rho, agent_update(v, y, probe, params.alpha, out=a))
@@ -301,8 +316,6 @@ def mann_iterate(
         np.add(v, np.multiply(2 * params.rho, a, out=a), out=v)
 
     return iterate_stack(
-        first, amplitude_power(probe, params.kappa),
-        lambda image, g, out: consensus(image, probe, coverage, g, out=out),
-        second, stitch_weighted, extract_stack(init, grid), y, coverage,
-        probe, grid, params, trace_target, descale, workers,
+        first, consensus, second, stitch_weighted, coupling, init, y, grid, params,
+        trace_target, descale, workers,
     )

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    CoverageMap,
-    ScanGrid,
-    accumulate_stack,
-    build_coverage,
-    divide_where_covered,
-    extract_stack,
+from .fields import ScanGrid
+from .pmace import (
+    check_solver_inputs,
+    consensus as p_q,
+    iterate_stack,
+    p_a,
+    sharp_coupling,
+    stitch_weighted as stitch_frames,
 )
-from .pmace import check_solver_inputs, iterate_stack, p_a
 
 VARIANTS = ("sharp", "sharp_plus")
 
@@ -55,36 +55,6 @@ class SharpParams:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
-
-
-def stitch_frames(
-    frames: np.ndarray, probe: np.ndarray, coverage2: CoverageMap, grid: ScanGrid,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Image estimate (sum_k P_k^t |d|^2)^{-1} sum_j P_j^t conj(d) s_j.
-
-    :param coverage2: coverage map built with kappa = 2.
-    :param out: complex128 image to write the result into.
-    """
-    image = accumulate_stack(frames, grid, weight=np.conj(probe), out=out)
-    return divide_where_covered(image, coverage2, out=image)
-
-
-def p_q(
-    frames: np.ndarray, probe: np.ndarray, grid: ScanGrid,
-    coverage2: CoverageMap | None = None, out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Consistency projection: back-project, normalize, re-illuminate.
-
-    ``frames`` may instead be the image :func:`stitch_frames` makes of
-    them, as the solvers build it block by block; then only the frames at
-    ``grid``'s positions are re-illuminated. ``out`` may be ``frames`` itself.
-    """
-    if frames.ndim == 3:
-        if coverage2 is None:
-            coverage2 = build_coverage(probe, grid, 2.0)
-        frames = stitch_frames(frames, probe, coverage2, grid)
-    return extract_stack(frames, grid, weight=probe, out=out)
 
 
 def block_steps(beta: float, variant: str):
@@ -126,12 +96,8 @@ def sharp_iterate(
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
     check_solver_inputs(y, probe, grid, init)
-    coverage2 = build_coverage(probe, grid, 2.0)
     first, second = block_steps(params.beta, params.variant)
-
-    frames = extract_stack(init, grid, weight=probe)
     return iterate_stack(
-        first, np.conj(probe), lambda image, g, out: p_q(image, probe, g, out=out),
-        second, stitch_frames, frames, y, coverage2,
-        probe, grid, params, trace_target, descale, workers,
+        first, p_q, second, stitch_frames, sharp_coupling(probe, grid), init, y, grid,
+        params, trace_target, descale, workers,
     )

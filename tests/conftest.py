@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ptychokit as pk
+from ptychokit.pmace import consensus, stitch_weighted
 
 # One-line verdicts from the acceptance tests, echoed after the run so
 # they are visible without -s.
@@ -76,3 +77,11 @@ def full_support_probe(size: int, seed: int) -> np.ndarray:
     amp = 0.5 + rng.random((size, size))
     pha = rng.uniform(-np.pi, np.pi, (size, size))
     return amp * np.exp(1j * pha)
+
+
+def coupled_stack(stack: np.ndarray, coupling, grid) -> np.ndarray:
+    """A coupling's projection of a whole stack: PMACE's G or SHARP's P_Q.
+
+    The stack is stitched into one image and its patches are read back.
+    """
+    return consensus(stitch_weighted(stack, coupling, grid), coupling, grid)

@@ -80,7 +80,8 @@ def per_frame_operator(solver):
 
 def coupling(solver):
     """(module, name) of the operator that reads each block's coupled frames
-    back from the iteration's image; each solver calls it once per block."""
+    back from the iteration's image; each solver calls it once per block,
+    and once on the initial image for the starting stack."""
     return (pmace, "consensus") if solver == "pmace" else (sharp, "p_q")
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ptychokit as pk
-from ptychokit.fields import divide_where_covered, extract_stack, scatter_add
+from ptychokit.fields import accumulate_stack, divide_where_covered, extract_stack, scatter_add
 from ptychokit.pmace import (
     agent_update,
     consensus,
@@ -25,6 +25,8 @@ from ptychokit.pmace import (
     stitch_weighted,
 )
 from ptychokit.sharp import p_a, p_q, stitch_frames
+
+from conftest import coupled_stack
 
 # (image shape, patch size, grid dims, spacing); the second and third
 # leave image pixels outside every patch.
@@ -51,15 +53,17 @@ def problems(draw):
     stack = complex_normal(rng, (len(grid), n, n))
     stack[rng.random(stack.shape) < 0.1] = 0  # phase(0) = 0 must be written, not left
     y = np.abs(complex_normal(rng, stack.shape))
+    image = complex_normal(rng, shape)
     alpha = draw(st.sampled_from([0.0, 0.3, 2.0]))
     return {
         "grid": grid,
         "probe": probe,
         "stack": stack,
         "y": y,
+        "image": image,
         "alpha": alpha,
-        "cov": pk.build_coverage(probe, grid, 1.25),
-        "cov2": pk.build_coverage(probe, grid, 2.0),
+        "coupling": pk.pmace_coupling(probe, grid, 1.25),
+        "coupling2": pk.sharp_coupling(probe, grid),
     }
 
 
@@ -69,14 +73,14 @@ OPERATORS = {
     "agent_update": lambda p, out: agent_update(
         p["stack"], p["y"], p["probe"], p["alpha"], out=out
     ),
-    "consensus": lambda p, out: consensus(p["stack"], p["probe"], p["cov"], p["grid"], out=out),
+    "consensus": lambda p, out: consensus(p["image"], p["coupling"], p["grid"], out=out),
     "stitch_weighted": lambda p, out: stitch_weighted(
-        p["stack"], p["probe"], p["cov"], p["grid"], out=out
+        p["stack"], p["coupling"], p["grid"], out=out
     ),
     "p_a": lambda p, out: p_a(p["stack"], p["y"], out=out),
-    "p_q": lambda p, out: p_q(p["stack"], p["probe"], p["grid"], p["cov2"], out=out),
+    "p_q": lambda p, out: p_q(p["image"], p["coupling2"], p["grid"], out=out),
     "stitch_frames": lambda p, out: stitch_frames(
-        p["stack"], p["probe"], p["cov2"], p["grid"], out=out
+        p["stack"], p["coupling2"], p["grid"], out=out
     ),
 }
 IMAGE_OUTPUT = {"stitch_weighted", "stitch_frames"}
@@ -102,7 +106,7 @@ def test_inputs_untouched_and_out_matches_fresh_result(p, name):
 
 
 @settings(max_examples=20, deadline=None)
-@given(problems(), st.sampled_from(["phase_factor", "consensus", "p_a", "p_q"]))
+@given(problems(), st.sampled_from(["phase_factor", "p_a"]))
 def test_operators_documented_in_place_accept_out_as_input(p, name):
     op = OPERATORS[name]
     fresh = op(p, None)
@@ -211,33 +215,55 @@ def test_weighted_extract_has_the_bits_of_extract_then_multiply(p):
 @settings(max_examples=30, deadline=None)
 @given(problems())
 def test_p_q_has_the_bits_of_extract_then_multiply(p):
-    image = stitch_frames(p["stack"], p["probe"], p["cov2"], p["grid"])
+    image = stitch_frames(p["stack"], p["coupling2"], p["grid"])
     expected = p["probe"] * extract_stack(image, p["grid"])
-    assert p_q(p["stack"], p["probe"], p["grid"], p["cov2"]).tobytes() == expected.tobytes()
+    assert p_q(image, p["coupling2"], p["grid"]).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
 @given(problems(), st.integers(1, 7))
 def test_couplings_streamed_block_by_block_have_the_whole_stack_bits(p, frames):
     # the solvers' form: blocks scatter-add into one image in order, the image
-    # is normalized once, and each block reads its frames back from it
+    # is normalized once, and each block reads its frames back from it; the
+    # whole-stack oracle is built from the probe without a Coupling
     grid, probe, stack = p["grid"], p["probe"], p["stack"]
     blocks = [slice(i, i + frames) for i in range(0, len(grid), frames)]
     grids = [dataclasses.replace(grid, offsets=grid.offsets[k]) for k in blocks]
-    for weight, cov, couple, whole in (
-        (pk.amplitude_power(probe, 1.25), p["cov"],
-         lambda image, g: consensus(image, probe, p["cov"], g),
-         consensus(stack, probe, p["cov"], grid)),
-        (np.conj(probe), p["cov2"],
-         lambda image, g: p_q(image, probe, g),
-         p_q(stack, probe, grid, p["cov2"])),
+    for coupling, couple, weight, kappa, illumination in (
+        (p["coupling"], consensus, pk.amplitude_power(probe, 1.25), 1.25, None),
+        (p["coupling2"], p_q, np.conj(probe), 2.0, probe),
     ):
+        whole = divide_where_covered(accumulate_stack(stack, grid, weight=weight),
+                                     pk.build_coverage(probe, grid, kappa))
+        whole = extract_stack(whole, grid, weight=illumination)
         image = np.zeros(grid.image_shape, dtype=np.complex128)
         for k, g in zip(blocks, grids):
-            scatter_add(stack[k], g, weight, image)
-        divide_where_covered(image, cov, out=image)
-        streamed = np.concatenate([couple(image, g) for g in grids])
+            scatter_add(stack[k], g, coupling.weight, image)
+        divide_where_covered(image, coupling.coverage, out=image)
+        streamed = np.concatenate([couple(image, coupling, g) for g in grids])
         assert streamed.tobytes() == whole.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.floats(0.0, 4.0))
+def test_couplings_hold_the_bytes_of_the_probe_weights(p, kappa):
+    probe, grid = p["probe"], p["grid"]
+
+    def same(a, b):
+        assert a.tobytes() == b.tobytes()
+
+    pm = pk.pmace_coupling(probe, grid, kappa)
+    cov = pk.build_coverage(probe, grid, kappa)
+    same(pm.weight, pk.amplitude_power(probe, kappa))
+    same(pm.coverage.weights, cov.weights)
+    same(pm.coverage.covered_mask, cov.covered_mask)
+    assert pm.illumination is None
+    sh = pk.sharp_coupling(probe, grid)
+    cov2 = pk.build_coverage(probe, grid, 2.0)
+    same(sh.weight, np.conj(probe))
+    same(sh.illumination, probe)
+    same(sh.coverage.weights, cov2.weights)
+    same(sh.coverage.covered_mask, cov2.covered_mask)
 
 
 def p_a_by_copy(frames, y):
@@ -306,20 +332,21 @@ def three_stack_solve(inst, params, iters):
     y, probe, grid = inst["y"], inst["probe"], inst["grid"]
     init = np.ones(grid.image_shape, dtype=np.complex128)
     if isinstance(params, pk.PmaceParams):
-        alpha, rho, cov = params.alpha, params.rho, pk.build_coverage(probe, grid, params.kappa)
+        alpha, rho = params.alpha, params.rho
+        coupling = pk.pmace_coupling(probe, grid, params.kappa)
         v = extract_stack(init, grid)
         for _ in range(iters):
             w = agent_update(v, y, probe, alpha)
-            v = v + 2 * rho * (consensus(2 * w - v, probe, cov, grid) - w)
-        return stitch_weighted(v, probe, cov, grid)
+            v = v + 2 * rho * (coupled_stack(2 * w - v, coupling, grid) - w)
+        return stitch_weighted(v, coupling, grid)
     beta, sign = params.beta, -1.0 if params.variant == "sharp_plus" else 1.0
-    cov2 = pk.build_coverage(probe, grid, 2.0)
+    coupling = pk.sharp_coupling(probe, grid)
     s = extract_stack(init, grid, weight=probe)
     for _ in range(iters):
         a = p_a(s, y)
-        s = (p_q(2 * beta * a + sign * beta * s, probe, grid, cov2) + (1 - 2 * beta) * a
+        s = (coupled_stack(2 * beta * a + sign * beta * s, coupling, grid) + (1 - 2 * beta) * a
              - sign * beta * s)
-    return stitch_frames(s, probe, cov2, grid)
+    return stitch_frames(s, coupling, grid)
 
 
 @pytest.mark.parametrize("solver", ["pmace", "sharp", "sharp_plus"])

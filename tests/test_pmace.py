@@ -14,13 +14,13 @@ from ptychokit.fields import (
 from ptychokit.pmace import (
     PmaceParams,
     agent_update,
-    consensus,
     phase_factor,
+    pmace_coupling,
     regularized_reciprocal,
     stitch_weighted,
 )
 
-from conftest import full_support_probe
+from conftest import coupled_stack, full_support_probe
 
 
 def random_stack(grid, seed):
@@ -107,19 +107,19 @@ class TestConsensus:
     def test_identity_on_consistent_stack_uniform_probe(self):
         grid = pk.make_scan_grid((40, 40), 16, (2, 2), 12)
         d = np.ones((16, 16), complex)
-        cov = build_coverage(d, grid, 1.25)
+        coupling = pmace_coupling(d, grid, 1.25)
         stack = extract_stack(pk.synth_object((40, 40), seed=8), grid)
-        np.testing.assert_allclose(consensus(stack, d, cov, grid), stack, atol=1e-12)
+        np.testing.assert_allclose(coupled_stack(stack, coupling, grid), stack, atol=1e-12)
 
     def test_overlap_pixels_average_with_unit_weights(self):
         # patches at columns 0..3 and 1..4 share columns 1..3; kappa=0
         # weights average the two constant values there
         grid = pk.ScanGrid(offsets=((0, 0), (0, 1)), patch_size=4, image_shape=(4, 5))
         d = np.ones((4, 4), complex)
-        cov = build_coverage(d, grid, 0.0)
+        coupling = pmace_coupling(d, grid, 0.0)
         a = np.full((4, 4), 1.0 + 2j)
         b = np.full((4, 4), 3.0 - 4j)
-        out = consensus(np.stack([a, b]), d, cov, grid)
+        out = coupled_stack(np.stack([a, b]), coupling, grid)
         avg = (1.0 + 2j + 3.0 - 4j) / 2
         np.testing.assert_allclose(out[0][:, 1:], avg, atol=1e-12)
         np.testing.assert_allclose(out[1][:, :3], avg, atol=1e-12)
@@ -127,29 +127,29 @@ class TestConsensus:
         np.testing.assert_allclose(out[1][:, 3], 3.0 - 4j, atol=1e-12)
 
     def test_idempotent(self, small):
-        cov = build_coverage(small["probe"], small["grid"], 1.25)
+        coupling = pmace_coupling(small["probe"], small["grid"], 1.25)
         s = random_stack(small["grid"], seed=9)
-        once = consensus(s, small["probe"], cov, small["grid"])
-        twice = consensus(once, small["probe"], cov, small["grid"])
+        once = coupled_stack(s, coupling, small["grid"])
+        twice = coupled_stack(once, coupling, small["grid"])
         assert np.max(np.abs(twice - once)) < 1e-12
 
     def test_self_adjoint_in_weighted_inner_product(self, small):
         # <G s, t>_w = <s, G t>_w with per-pixel weights |d|^kappa
         kappa = 1.25
-        cov = build_coverage(small["probe"], small["grid"], kappa)
+        coupling = pmace_coupling(small["probe"], small["grid"], kappa)
         wk = pk.amplitude_power(small["probe"], kappa)
         s = random_stack(small["grid"], seed=10)
         t = random_stack(small["grid"], seed=11)
-        gs = consensus(s, small["probe"], cov, small["grid"])
-        gt = consensus(t, small["probe"], cov, small["grid"])
+        gs = coupled_stack(s, coupling, small["grid"])
+        gt = coupled_stack(t, coupling, small["grid"])
         lhs = np.sum(np.conj(gs) * t * wk[None])
         rhs = np.sum(np.conj(s) * gt * wk[None])
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
     def test_stitch_recovers_image_on_covered_region(self, small):
-        cov = build_coverage(small["probe"], small["grid"], 1.25)
+        coupling = pmace_coupling(small["probe"], small["grid"], 1.25)
         stack = extract_stack(small["truth"], small["grid"])
-        image = stitch_weighted(stack, small["probe"], cov, small["grid"])
+        image = stitch_weighted(stack, coupling, small["grid"])
         np.testing.assert_allclose(
             image[small["mask"]], small["truth"][small["mask"]], atol=1e-12
         )
@@ -164,10 +164,10 @@ class TestMannIterate:
         x = pk.synth_object((40, 40), seed=12)
         d = full_support_probe(16, seed=13)
         y = pk.forward_amplitude(x, d, grid)
-        cov = build_coverage(d, grid, 1.25)
+        coupling = pmace_coupling(d, grid, 1.25)
         v = extract_stack(x, grid)
         w = agent_update(v, y, d, alpha=0.0)
-        tv = 2 * consensus(2 * w - v, d, cov, grid) - (2 * w - v)
+        tv = 2 * coupled_stack(2 * w - v, coupling, grid) - (2 * w - v)
         assert np.linalg.norm(tv - v) / np.linalg.norm(v) < 1e-10
 
     def test_truth_init_stays_put(self, small):
@@ -264,12 +264,15 @@ class TestMannIterate:
                 small["y"][:3], small["probe"], small["grid"], params,
                 init=np.ones(small["truth"].shape, complex),
             )
-        # an (N_p, 1) probe would broadcast across every patch column
-        with pytest.raises(ValueError, match="probe shape"):
-            pk.mann_iterate(
-                small["y"], small["probe"][:, :1], small["grid"], params,
-                init=np.ones(small["truth"].shape, complex),
-            )
+        # an (N_p, 1) probe would broadcast across every patch column; the
+        # shape check runs before the coupling is built from the probe
+        for probe in (small["probe"][:, :1], np.ones((20, 20), complex),
+                      np.ones((8, 8), complex)):
+            with pytest.raises(ValueError, match="probe shape"):
+                pk.mann_iterate(
+                    small["y"], probe, small["grid"], params,
+                    init=np.ones(small["truth"].shape, complex),
+                )
 
     def test_zero_probe_rejected(self, small):
         # eps = 1e-6 max|d| is 0 for this probe, so D^reginv would be 0/0

@@ -3,7 +3,15 @@ import pytest
 
 import ptychokit as pk
 from ptychokit.fields import NumericalFailure, extract_stack
-from ptychokit.sharp import SharpParams, block_steps, p_a, p_q, sharp_iterate, stitch_frames
+from ptychokit.sharp import (
+    SharpParams,
+    block_steps,
+    p_a,
+    p_q,
+    sharp_coupling,
+    sharp_iterate,
+    stitch_frames,
+)
 
 from conftest import full_support_probe
 
@@ -18,14 +26,20 @@ def random_stack(grid, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def projected(s, probe, grid):
+    """P_Q applied to a whole stack of frames."""
+    coupling = sharp_coupling(probe, grid)
+    return p_q(stitch_frames(s, coupling, grid), coupling, grid)
+
+
 def two_projection_update(s, y, probe, grid, beta, variant):
     """The SHARP update as written, with P_Q applied to P_a s and to s."""
     sign = -1.0 if variant == "sharp_plus" else 1.0
     pa = p_a(s, y)
     return (
-        2 * beta * p_q(pa, probe, grid)
+        2 * beta * projected(pa, probe, grid)
         + (1 - 2 * beta) * pa
-        + sign * beta * (p_q(s, probe, grid) - s)
+        + sign * beta * (projected(s, probe, grid) - s)
     )
 
 
@@ -49,28 +63,27 @@ class TestMagnitudeProjection:
 class TestConsistencyProjection:
     def test_consistent_frames_unchanged(self, small):
         s = truth_frames(small)
-        out = p_q(s, small["probe"], small["grid"])
+        out = projected(s, small["probe"], small["grid"])
         assert np.max(np.abs(out - s)) < 1e-12
 
     def test_single_frame_identity_with_full_support_probe(self):
         grid = pk.make_scan_grid((16, 16), 16, (1, 1), 1)
         d = full_support_probe(16, seed=1)
         s = random_stack(grid, seed=2)
-        out = p_q(s, d, grid)
+        out = projected(s, d, grid)
         assert np.max(np.abs(out - s)) < 1e-12
 
     def test_idempotent(self, small):
         s = random_stack(small["grid"], seed=3)
-        once = p_q(s, small["probe"], small["grid"])
-        twice = p_q(once, small["probe"], small["grid"])
+        once = projected(s, small["probe"], small["grid"])
+        twice = projected(once, small["probe"], small["grid"])
         assert np.max(np.abs(twice - once)) < 1e-12
 
     def test_output_frames_mutually_consistent(self, small):
         # re-illuminating the stitched image must reproduce the frames
         s = random_stack(small["grid"], seed=4)
-        out = p_q(s, small["probe"], small["grid"])
-        cov2 = pk.build_coverage(small["probe"], small["grid"], 2.0)
-        image = stitch_frames(out, small["probe"], cov2, small["grid"])
+        out = projected(s, small["probe"], small["grid"])
+        image = stitch_frames(out, sharp_coupling(small["probe"], small["grid"]), small["grid"])
         again = small["probe"][None] * extract_stack(image, small["grid"])
         assert np.max(np.abs(again - out)) < 1e-12
 
@@ -95,7 +108,8 @@ class TestSharpIterate:
         blocks = [slice(0, 5), slice(5, None)]
         for k in blocks:
             first(fused[k], a[k], small["y"][k])
-        p_q(a, probe, grid, pk.build_coverage(probe, grid, 2.0), out=a)
+        coupling = sharp_coupling(probe, grid)
+        p_q(stitch_frames(a, coupling, grid), coupling, grid, out=a)
         for k in blocks:
             second(fused[k], a[k])
         assert np.linalg.norm(fused - expected) / np.linalg.norm(expected) < 1e-12
@@ -190,12 +204,15 @@ class TestSharpIterate:
                 small["y"][:3], small["probe"], small["grid"], params,
                 init=np.ones(small["truth"].shape, complex),
             )
-        # an (N_p, 1) probe would broadcast across every frame column
-        with pytest.raises(ValueError, match="probe shape"):
-            sharp_iterate(
-                small["y"], small["probe"][:, :1], small["grid"], params,
-                init=np.ones(small["truth"].shape, complex),
-            )
+        # an (N_p, 1) probe would broadcast across every frame column; the
+        # shape check runs before the coupling is built from the probe
+        for probe in (small["probe"][:, :1], np.ones((20, 20), complex),
+                      np.ones((8, 8), complex)):
+            with pytest.raises(ValueError, match="probe shape"):
+                sharp_iterate(
+                    small["y"], probe, small["grid"], params,
+                    init=np.ones(small["truth"].shape, complex),
+                )
 
     @pytest.mark.parametrize("variant", ["sharp", "sharp_plus"])
     def test_zero_probe_rejected(self, small, variant):
