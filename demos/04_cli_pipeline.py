@@ -4,9 +4,11 @@ Experiment pipeline through the CLI
 
 Drives the command-line interface end to end: simulate a dataset,
 reconstruct it, evaluate the stored reconstruction, and sweep a solver
-parameter. Everything lands under ./demo_output/pipeline.
+parameter. Everything lands under ./demo_output/pipeline, which is cleared
+first: the CLI refuses an --out directory that is not empty.
 """
 
+import shutil
 from pathlib import Path
 
 import yaml
@@ -14,7 +16,8 @@ import yaml
 from ptychokit.cli import main
 
 ROOT = Path("demo_output") / "pipeline"
-ROOT.mkdir(parents=True, exist_ok=True)
+shutil.rmtree(ROOT, ignore_errors=True)
+ROOT.mkdir(parents=True)
 
 config = {
     "sim": {

@@ -6,11 +6,9 @@ from .fields import (
     CoverageMap,
     NumericalFailure,
     ScanGrid,
-    accumulate_patch,
     accumulate_stack,
     amplitude_power,
     build_coverage,
-    extract_patch,
     extract_stack,
     fft2_orthonormal,
     ifft2_orthonormal,
@@ -18,8 +16,9 @@ from .fields import (
     write_cfld,
 )
 from .metrics import nrmse_phase_aligned, read_trace_csv, write_trace_csv
-from .pmace import PmaceParams, agent_update, consensus, mann_iterate, pmace_coupling
-from .sharp import SharpParams, p_a, p_q, sharp_coupling, sharp_iterate
+from .pmace import (PmaceParams, agent_update, consensus, mann_iterate, pmace_coupling,
+                    stitch_weighted)
+from .sharp import SharpParams, p_a, sharp_coupling, sharp_iterate
 from .sim import (
     add_poisson_noise,
     forward_amplitude,
@@ -38,14 +37,12 @@ __all__ = [
     "PmaceParams",
     "ScanGrid",
     "SharpParams",
-    "accumulate_patch",
     "accumulate_stack",
     "add_poisson_noise",
     "agent_update",
     "amplitude_power",
     "build_coverage",
     "consensus",
-    "extract_patch",
     "extract_stack",
     "fft2_orthonormal",
     "forward_amplitude",
@@ -55,12 +52,12 @@ __all__ = [
     "mann_iterate",
     "nrmse_phase_aligned",
     "p_a",
-    "p_q",
     "pmace_coupling",
     "read_cfld",
     "read_trace_csv",
     "sharp_coupling",
     "sharp_iterate",
+    "stitch_weighted",
     "synth_object",
     "synth_probe",
     "write_cfld",

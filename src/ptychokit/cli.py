@@ -298,10 +298,12 @@ def main(argv=None) -> int:
             return cmd_evaluate(args.recon, args.dataset)
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
-        # outputs are written after the work, so an --out that cannot be a directory fails now
+        # outputs come after the work, so an --out that is not a new or empty directory fails now
         existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError(f"--out {args.out}: {existing} exists and is not a directory")
+        if existing == Path(args.out) and any(existing.iterdir()):
+            raise ConfigError(f"--out {args.out} is a directory that is not empty")
         cfg = load_config(args.config)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, args.workers)

@@ -2,15 +2,17 @@
 projection geometry.
 
 A field is a 2D complex128 ndarray. A scan grid holds the integer top-left
-offsets of every probe position; extraction and accumulation implement the
-patch projector and its adjoint. Coverage maps hold the probe-weighted
-normalizer used by the reconstruction solvers.
+offsets of every probe position; stack extraction and accumulation implement
+the patch projector and its adjoint. Coverage maps normalize the solvers'
+overlap averages, and frame blocks split per-frame work across threads.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,8 @@ import numpy as np
 CFLD_MAGIC = b"CFLD"
 CFLD_VERSION = 1
 _CFLD_HEADER = struct.Struct("<4sIQQ")
+# Frames per block of the per-frame work: 2 MiB at N_p = 64.
+BLOCK_FRAMES = 32
 
 
 class NumericalFailure(RuntimeError):
@@ -91,32 +95,6 @@ class ScanGrid:
         return len(self.offsets)
 
 
-def extract_patch(image: np.ndarray, grid: ScanGrid, j: int) -> np.ndarray:
-    """Return the patch at grid position j (a copy; the image is untouched)."""
-    if not 0 <= j < len(grid):
-        raise IndexError(f"patch index {j} out of range for J={len(grid)}")
-    r, c = grid.offsets[j]
-    n = grid.patch_size
-    return image[r : r + n, c : c + n].copy()
-
-
-def accumulate_patch(
-    target: np.ndarray, patch: np.ndarray, grid: ScanGrid, j: int
-) -> np.ndarray:
-    """Add a patch into the target image at grid position j, in place.
-
-    Adjoint of :func:`extract_patch` under the standard inner product.
-    """
-    n = grid.patch_size
-    if patch.shape != (n, n):
-        raise ValueError(f"patch shape {patch.shape} != ({n}, {n})")
-    if not 0 <= j < len(grid):
-        raise IndexError(f"patch index {j} out of range for J={len(grid)}")
-    r, c = grid.offsets[j]
-    target[r : r + n, c : c + n] += patch
-    return target
-
-
 def extract_stack(
     image: np.ndarray, grid: ScanGrid, weight: np.ndarray | None = None,
     out: np.ndarray | None = None,
@@ -163,6 +141,21 @@ def scatter_add(
     for j, (r, c) in enumerate(grid.offsets):
         out[r : r + n, c : c + n] += stack[j] if weight is None else weight * stack[j]
     return out
+
+
+@contextmanager
+def frame_blocks(frames: int, workers: int):
+    """Yield (blocks, run): slices of BLOCK_FRAMES frames covering ``frames``
+    frames, and a map that runs a function over them on min(workers,
+    blocks) threads.
+
+    Each thread starts with the caller's np.errstate, which is per thread.
+    """
+    blocks = [slice(i, i + BLOCK_FRAMES) for i in range(0, frames, BLOCK_FRAMES)]
+    threads = min(workers, len(blocks))
+    err = np.geterr()
+    with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**err)) as pool:
+        yield blocks, (pool.map if threads > 1 else map)
 
 
 def amplitude_power(probe: np.ndarray, kappa: float) -> np.ndarray:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 import numpy as np
 
@@ -32,14 +30,13 @@ from .fields import (
     divide_where_covered,
     extract_stack,
     fft2_orthonormal,
+    frame_blocks,
     ifft2_orthonormal,
     scatter_add,
 )
 from .metrics import nrmse_phase_aligned
 
 RECIPROCAL_EPS_FRAC = 1e-6
-# Frames per block of the solvers' per-frame work: 2 MiB at N_p = 64.
-BLOCK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -198,21 +195,6 @@ def check_solver_inputs(
         raise ValueError("probe is zero everywhere")
 
 
-@contextmanager
-def frame_blocks(frames: int, workers: int):
-    """Yield (blocks, run): slices of BLOCK_FRAMES frames covering ``frames``
-    frames, and a map that runs a function over them on min(workers,
-    blocks) threads.
-
-    Each thread starts with the caller's np.errstate, which is per thread.
-    """
-    blocks = [slice(i, i + BLOCK_FRAMES) for i in range(0, frames, BLOCK_FRAMES)]
-    threads = min(workers, len(blocks))
-    err = np.geterr()
-    with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**err)) as pool:
-        yield blocks, (pool.map if threads > 1 else map)
-
-
 def iterate_stack(
     first, couple, second, stitch, coupling: Coupling, init: np.ndarray, y: np.ndarray,
     grid: ScanGrid, params, trace_target: np.ndarray | None, descale: float, workers: int = 1,
@@ -221,9 +203,9 @@ def iterate_stack(
 
     ``couple`` and ``stitch`` are :func:`consensus` and :func:`stitch_weighted`
     under the solver's own names. The stack s = ``couple(init, coupling, grid)``
-    is the only stack; it is updated in place. On each block k of BLOCK_FRAMES
-    frames an iteration runs ``first(s[k], a, y[k])``, which leaves the
-    coupling's input in the thread's block buffer a; the buffers are stitched
+    is the only stack; it is updated in place. On each of the frame blocks k
+    an iteration runs ``first(s[k], a, y[k])``, which leaves the coupling's
+    input in the thread's block buffer a; the buffers are stitched
     into the image in block order, and each block then runs ``second(s[k],
     couple(image, coupling, block_grid, out=a))`` and the NaN guard. Blocks
     run on min(workers, blocks) threads; the image is summed in frame order,
@@ -238,7 +220,7 @@ def iterate_stack(
 
     def buffer(k: slice) -> np.ndarray:
         if not hasattr(buffers, "a"):
-            buffers.a = np.empty_like(s[:BLOCK_FRAMES])
+            buffers.a = np.empty_like(s[blocks[0]])
         return buffers.a[: len(s[k])]
 
     def first_block(k: slice, block_grid: ScanGrid, turn, next_turn) -> None:

@@ -20,10 +20,10 @@ from .fields import (
     ScanGrid,
     extract_stack,
     fft2_orthonormal,
+    frame_blocks,
     read_cfld,
     write_cfld,
 )
-from .pmace import frame_blocks
 
 NORMALIZATION_MODES = ("global-max", "per-pattern-max")
 
@@ -175,8 +175,8 @@ def add_poisson_noise(
     Pattern j draws from its own generator stream derived from
     (seed, j), so results do not depend on evaluation order.
     """
-    if r_p <= 0:
-        raise ValueError("peak photon rate must be positive")
+    if not 0 < r_p < np.inf:  # written so that NaN fails too
+        raise ValueError(f"peak photon rate r_p must satisfy 0 < r_p < inf, got {r_p!r}")
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     intensity = np.asarray(clean, dtype=np.float64) ** 2

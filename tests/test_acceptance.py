@@ -25,7 +25,7 @@ from conftest import (
     trace_bytes_without_seconds,
 )
 from ptychokit.cli import main
-from ptychokit.fields import ScanGrid, accumulate_patch, extract_patch
+from ptychokit.fields import ScanGrid, accumulate_stack, extract_stack
 from ptychokit.metrics import read_trace_csv
 from ptychokit.pmace import PmaceParams
 from ptychokit.sharp import SharpParams, sharp_iterate
@@ -103,15 +103,17 @@ def test_criterion_02_projector_algebra_and_coverage():
     grid = ScanGrid(offsets=((1, 2), (3, 0), (4, 4)), patch_size=4, image_shape=(8, 8))
     extract_exact = True
     adjoint_exact = True
-    for j in range(len(grid)):
+    for j, (r, c) in enumerate(grid.offsets):
+        # frame j alone: the stack operators' P_j and its adjoint
         patch = random_field((4, 4), seed=20 + j)
-        back = extract_patch(
-            accumulate_patch(np.zeros((8, 8), complex), patch, grid, j), grid, j
-        )
-        extract_exact &= bool(np.array_equal(back, patch))
+        one_hot = np.zeros((len(grid), 4, 4), complex)
+        one_hot[j] = patch
+        acc = accumulate_stack(one_hot, grid)
+        extract_exact &= bool(np.array_equal(extract_stack(acc, grid)[j], patch))
         image = random_field((8, 8), seed=30 + j)
-        prod_l = (np.conj(extract_patch(image, grid, j)) * patch).ravel()
-        acc = accumulate_patch(np.zeros((8, 8), complex), patch, grid, j)
+        extracted = extract_stack(image, grid)[j]
+        extract_exact &= bool(np.array_equal(extracted, image[r : r + 4, c : c + 4]))
+        prod_l = (np.conj(extracted) * patch).ravel()
         prod_r = (np.conj(image) * acc).ravel()
         lhs = complex(math.fsum(prod_l.real), math.fsum(prod_l.imag))
         rhs = complex(math.fsum(prod_r.real), math.fsum(prod_r.imag))

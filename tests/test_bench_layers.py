@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from ptychokit import fields
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 ITERATIONS = 2
 
@@ -26,15 +28,31 @@ def bench(monkeypatch):
     return layers, tracer, workloads
 
 
-def test_every_desk_trace_layer_records_calls(bench):
+def missing_layers(bench, spec, scale, noisy):
+    """(J, expected layers of ``spec`` that recorded no call) for traced solves of
+    every solver on ``scale``, at ``spec.workers``."""
     layers, tracer, workloads = bench
-    spec = dataclasses.replace(workloads.DESK_TRACE, iterations=ITERATIONS)
+    spec = dataclasses.replace(spec, iterations=ITERATIONS)
     t = tracer.Tracer()
     with t.install(layers.targets()):
-        inst = workloads.generate(workloads.DESK, workloads.Seeds.derive(0), noisy=False)
-        assert len(inst.grid) == 64
+        inst = workloads.generate(scale, workloads.Seeds.derive(0), noisy=noisy)
         for solver in layers.SOLVERS:
             workloads.solve(spec, solver, inst, ITERATIONS)
     metrics, _ = layers.layer_metrics(t.spans, ITERATIONS)
-    expected = workloads.EXPECTED_LAYERS["desk-trace"]
-    assert [name for name in expected if metrics.get(name) is None] == []
+    expected = workloads.EXPECTED_LAYERS[spec.name]
+    return len(inst.grid), [name for name in expected if metrics.get(name) is None]
+
+
+def test_every_desk_trace_layer_records_calls(bench):
+    _, _, workloads = bench
+    assert missing_layers(bench, workloads.DESK_TRACE, workloads.DESK, noisy=False) == (64, [])
+
+
+def test_every_wide_scan_layer_records_calls_at_two_workers(bench):
+    # a small noisy 9x9 grid: J = 81 is three frame blocks, the last one partial,
+    # traced at the wide-scan workload's two workers
+    _, _, workloads = bench
+    assert workloads.WIDE_SCAN.workers == 2
+    assert 2 * fields.BLOCK_FRAMES < 81 < 3 * fields.BLOCK_FRAMES
+    scale = workloads.Scale((88, 88), 16, (9, 9), 8)
+    assert missing_layers(bench, workloads.WIDE_SCAN, scale, noisy=True) == (81, [])

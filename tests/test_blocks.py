@@ -1,4 +1,4 @@
-"""The solvers run their per-frame work in blocks of pmace.BLOCK_FRAMES
+"""The solvers run their per-frame work in blocks of fields.BLOCK_FRAMES
 frames on up to ``workers`` threads, and each block adds its coupling input
 into the image when its turn in block order comes. These tests use grids of
 more than one block, the last of them partial, so the threaded path and the
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ptychokit as pk
-from ptychokit import pmace, sharp
+from ptychokit import fields, pmace, sharp
 from ptychokit.fields import NumericalFailure
 
 SOLVERS = ("pmace", "sharp", "sharp_plus")
@@ -36,7 +36,7 @@ def instance(grid_dims, shape=(72, 72)):
 def two_blocks():
     """6x6 = 36 frames: one full block and a partial block of 4 frames."""
     inst = instance((6, 6))
-    assert pmace.BLOCK_FRAMES < len(inst["grid"]) < 2 * pmace.BLOCK_FRAMES
+    assert fields.BLOCK_FRAMES < len(inst["grid"]) < 2 * fields.BLOCK_FRAMES
     return inst
 
 
@@ -49,14 +49,14 @@ def many_blocks_instance():
 @pytest.fixture(scope="module")
 def many_blocks():
     inst = many_blocks_instance()
-    assert len(inst["grid"]) % pmace.BLOCK_FRAMES and len(inst["grid"]) > 4 * pmace.BLOCK_FRAMES
+    assert len(inst["grid"]) % fields.BLOCK_FRAMES and len(inst["grid"]) > 4 * fields.BLOCK_FRAMES
     return inst
 
 
 @pytest.fixture(scope="module")
 def one_block():
     inst = instance((3, 3))
-    assert len(inst["grid"]) <= pmace.BLOCK_FRAMES
+    assert len(inst["grid"]) <= fields.BLOCK_FRAMES
     return inst
 
 
@@ -113,7 +113,7 @@ def test_bytes_do_not_depend_on_the_block_size(two_blocks, solver, monkeypatch):
     recon, nrmse = solve(two_blocks, solver, workers=2)
     # one block holding the whole stack is the unsplit iteration
     for frames in (len(two_blocks["grid"]), 5, 1):
-        monkeypatch.setattr(pmace, "BLOCK_FRAMES", frames)
+        monkeypatch.setattr(fields, "BLOCK_FRAMES", frames)
         other, other_nrmse = solve(two_blocks, solver, workers=2)
         np.testing.assert_array_equal(other, recon)
         np.testing.assert_array_equal(other_nrmse, nrmse)
@@ -127,7 +127,7 @@ def test_non_finite_value_in_the_partial_block_fails_its_iteration(
     # iteration 3 reaches only that block before the guard runs
     module, name = coupling(solver)
     original = getattr(module, name)
-    partial = len(two_blocks["grid"]) % pmace.BLOCK_FRAMES
+    partial = len(two_blocks["grid"]) % fields.BLOCK_FRAMES
     calls = []
 
     def poisoned(*args, **kwargs):
@@ -201,7 +201,7 @@ def test_turn_order_keeps_the_bytes_over_many_blocks(many_blocks, solver, monkey
             np.testing.assert_array_equal(recon, recon1)
             np.testing.assert_array_equal(nrmse, nrmse1)
         for frames in (1, 5):
-            monkeypatch.setattr(pmace, "BLOCK_FRAMES", frames)
+            monkeypatch.setattr(fields, "BLOCK_FRAMES", frames)
             recon, nrmse = solve(many_blocks, solver, workers=3)
             np.testing.assert_array_equal(recon, recon1)
             np.testing.assert_array_equal(nrmse, nrmse1)
@@ -214,13 +214,13 @@ def test_turn_order_keeps_the_bytes_over_many_blocks(many_blocks, solver, monkey
 FAILING_SOLVE = """
 import sys, threading
 import pytest
-from ptychokit import pmace
+from ptychokit import fields
 from test_blocks import many_blocks_instance, raising_on_block, solve
 
 solver, workers = sys.argv[1], int(sys.argv[2])
 inst = many_blocks_instance()
 # the third of five blocks: earlier blocks hold the turn, later ones wait for it
-raising_on_block(solver, pytest.MonkeyPatch(), inst["y"], 2 * pmace.BLOCK_FRAMES)
+raising_on_block(solver, pytest.MonkeyPatch(), inst["y"], 2 * fields.BLOCK_FRAMES)
 try:
     solve(inst, solver, workers, iters=3)
 except RuntimeError as exc:

@@ -117,6 +117,31 @@ def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
+def tree_bytes(path):
+    return {p.relative_to(path): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+# Commands that write an --out directory, each with a config of its own.
+OUT_KINDS = ("simulate noisy", "simulate clean", "reconstruct pmace", "reconstruct sharp",
+             "sweep pmace")
+# What each of them computes; none of it may run when --out is refused.
+WORK = ("ptychokit.sim.synth_object", "ptychokit.sim.load_dataset",
+        "ptychokit.pmace.mann_iterate", "ptychokit.sharp.sharp_iterate")
+
+
+def out_command(kind, tmp, dataset_dir, out):
+    """argv of a small command of ``kind`` (one of OUT_KINDS) writing into ``out``."""
+    command, which = kind.split()
+    sim = dict(SIM_SECTION, noise=which == "noisy")
+    solver = dict(SOLVER_SECTION, name=which if command != "simulate" else "pmace",
+                  beta=0.45, iterations=2)
+    cfg = write_config(tmp / f"{command}-{which}.yaml", sim=sim, solver=solver)
+    extra = [] if command == "simulate" else ["--dataset", str(dataset_dir)]
+    if command == "sweep":
+        extra += ["--param", "alpha", "--values", "0.1,0.2"]
+    return [command, "--config", cfg, "--out", str(out), "--workers", "1", *extra]
+
+
 class TestSimulate:
     def test_writes_expected_files(self, dataset_dir):
         names = {p.name for p in dataset_dir.iterdir()}
@@ -777,6 +802,15 @@ class TestConfigErrors:
         assert err.startswith(f"error: config key 'sim.{key}'") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("r_p", [float("nan"), float("inf")])
+    def test_sim_rate_outside_zero_to_inf_exits_2(self, tmp_path, capsys, r_p):
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, r_p=r_p))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: peak photon rate r_p must satisfy 0 < r_p < inf, got {r_p!r}\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), key=st.sampled_from(tuple(SIM_SECTION)))
@@ -869,6 +903,25 @@ class TestConfigErrors:
             f"error: --out {tmp_path / out}: {tmp_path / 'afile'} exists and is not a directory\n"
         )
         assert (tmp_path / "afile").read_text() == "kept"
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=st.sampled_from(OUT_KINDS), second=st.sampled_from(OUT_KINDS),
+           premade=st.booleans())
+    def test_second_command_into_one_out_exits_2_before_the_work(
+        self, dataset_dir, first, second, premade
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            if premade:  # an empty directory made beforehand is a valid --out
+                out.mkdir()
+            assert main_quietly(out_command(first, Path(tmp), dataset_dir, out)) == (0, "")
+            before = tree_bytes(out)
+            with pytest.MonkeyPatch.context() as mp:
+                for work in WORK:
+                    mp.setattr(work, lambda *args, **kwargs: pytest.fail("work ran"))
+                code, err = main_quietly(out_command(second, Path(tmp), dataset_dir, out))
+            assert (code, err) == (2, f"error: --out {out} is a directory that is not empty\n")
+            assert tree_bytes(out) == before
 
     def test_bad_worker_count_exits_2(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from ptychokit.fields import (
     ScanGrid,
-    accumulate_patch,
     accumulate_stack,
     amplitude_power,
     build_coverage,
     divide_where_covered,
-    extract_patch,
     extract_stack,
     fft2_orthonormal,
     ifft2_orthonormal,
@@ -33,6 +31,34 @@ def direct_dft2(f: np.ndarray) -> np.ndarray:
 def random_field(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def per_frame_slices(image, grid):
+    """The oracle for extract_stack: each frame a plain slice of the image."""
+    n = grid.patch_size
+    return np.array([image[r : r + n, c : c + n] for r, c in grid.offsets])
+
+
+def slice_adds(stack, grid):
+    """The oracle for accumulate_stack: frames added into zeros by slice, in j order."""
+    n = grid.patch_size
+    out = np.zeros(grid.image_shape, complex)
+    for (r, c), frame in zip(grid.offsets, stack):
+        out[r : r + n, c : c + n] += frame
+    return out
+
+
+def one_hot(frame, frames, j):
+    """A stack of ``frames`` zero frames with ``frame`` at index j."""
+    stack = np.zeros((frames, *frame.shape), complex)
+    stack[j] = frame
+    return stack
+
+
+def exact_vdot(a, b):
+    """<a, b> summed with math.fsum, so the result is correctly rounded."""
+    prod = np.conj(a).ravel() * b.ravel()
+    return complex(math.fsum(prod.real), math.fsum(prod.imag))
 
 
 class TestOrthonormalFFT:
@@ -170,63 +196,63 @@ class TestScanGridAndPatches:
         image = np.arange(16, dtype=complex).reshape(4, 4)
         grid = self.grid()
         np.testing.assert_array_equal(
-            extract_patch(image, grid, 1), np.array([[5, 6], [9, 10]], dtype=complex)
+            extract_stack(image, grid)[1], np.array([[5, 6], [9, 10]], dtype=complex)
         )
 
     def test_extract_then_accumulate_round_trip(self):
         grid = self.grid()
-        patch = random_field((2, 2), seed=1)
-        target = accumulate_patch(np.zeros((4, 4), complex), patch, grid, 2)
-        np.testing.assert_array_equal(extract_patch(target, grid, 2), patch)
+        stack = one_hot(random_field((2, 2), seed=1), len(grid), 2)
+        target = accumulate_stack(stack, grid)
+        np.testing.assert_array_equal(extract_stack(target, grid)[2], stack[2])
 
     def test_extract_returns_copy(self):
         image = np.zeros((4, 4), complex)
         grid = self.grid()
-        patch = extract_patch(image, grid, 0)
-        patch += 1
-        assert image[0, 0] == 0
+        stack = extract_stack(image, grid)
+        stack += 1
+        assert not image.any()
 
     def test_overlap_adds(self):
         grid = ScanGrid(offsets=((0, 0), (0, 1)), patch_size=2, image_shape=(2, 3))
-        target = np.zeros((2, 3), complex)
-        accumulate_patch(target, np.ones((2, 2), complex), grid, 0)
-        accumulate_patch(target, np.ones((2, 2), complex), grid, 1)
+        target = accumulate_stack(np.ones((2, 2, 2), complex), grid)
         np.testing.assert_array_equal(target, [[1, 2, 1], [1, 2, 1]])
 
     def test_adjoint_identity_exact(self):
         # under correctly-rounded summation the two inner products reduce
         # to the same multiset of products (plus exact zeros), so the
         # adjoint identity holds with equality, not just to tolerance
-        def exact_vdot(a, b):
-            prod = np.conj(a).ravel() * b.ravel()
-            return complex(math.fsum(prod.real), math.fsum(prod.imag))
-
         grid = ScanGrid(offsets=((1, 2), (3, 0)), patch_size=4, image_shape=(10, 10))
         image = random_field((10, 10), seed=9)
         for j in range(2):
-            patch = random_field((4, 4), seed=10 + j)
-            lhs = exact_vdot(extract_patch(image, grid, j), patch)
-            rhs = exact_vdot(image, accumulate_patch(np.zeros((10, 10), complex), patch, grid, j))
+            stack = one_hot(random_field((4, 4), seed=10 + j), len(grid), j)
+            lhs = exact_vdot(extract_stack(image, grid)[j], stack[j])
+            rhs = exact_vdot(image, accumulate_stack(stack, grid))
             assert lhs == rhs
-
-    def test_index_out_of_range(self):
-        grid = self.grid()
-        with pytest.raises(IndexError):
-            extract_patch(np.zeros((4, 4), complex), grid, 3)
-        with pytest.raises(IndexError):
-            accumulate_patch(np.zeros((4, 4), complex), np.zeros((2, 2), complex), grid, 3)
 
     def test_stack_round_trip_matches_per_patch(self):
         grid = self.grid()
         image = random_field((4, 4), seed=2)
         stack = extract_stack(image, grid)
+        np.testing.assert_array_equal(stack, per_frame_slices(image, grid))
+        np.testing.assert_array_equal(accumulate_stack(stack, grid), slice_adds(stack, grid))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_operators_match_per_frame_slices(self, data, shape, seed):
+        n = data.draw(st.integers(1, min(shape)), label="patch_size")
+        offsets = data.draw(st.lists(
+            st.tuples(st.integers(0, shape[0] - n), st.integers(0, shape[1] - n)),
+            min_size=1, max_size=8, unique=True), label="offsets")
+        grid = ScanGrid(offsets=tuple(offsets), patch_size=n, image_shape=shape)
+        image = random_field(shape, seed)
+        stack = random_field((len(grid), n, n), seed + 1)
+        extracted = extract_stack(image, grid)
+        assert extracted.tobytes() == per_frame_slices(image, grid).tobytes()
+        assert accumulate_stack(stack, grid).tobytes() == slice_adds(stack, grid).tobytes()
         for j in range(len(grid)):
-            np.testing.assert_array_equal(stack[j], extract_patch(image, grid, j))
-        scattered = accumulate_stack(stack, grid)
-        expected = np.zeros((4, 4), complex)
-        for j in range(len(grid)):
-            accumulate_patch(expected, stack[j], grid, j)
-        np.testing.assert_array_equal(scattered, expected)
+            adjoint = accumulate_stack(one_hot(stack[j], len(grid), j), grid)
+            assert exact_vdot(extracted[j], stack[j]) == exact_vdot(image, adjoint)
 
 
 class TestCoverage:

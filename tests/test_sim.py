@@ -222,8 +222,9 @@ class TestPoissonNoise:
         np.testing.assert_array_equal(full.stack[0], solo.stack[0])
 
     def test_invalid_arguments_rejected(self, small):
-        with pytest.raises(ValueError):
-            pk.add_poisson_noise(small["y"], r_p=0.0, seed=0)
+        for r_p in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"^peak photon rate r_p must satisfy 0 < r_p <"):
+                pk.add_poisson_noise(small["y"], r_p=r_p, seed=0)
         with pytest.raises(ValueError):
             pk.add_poisson_noise(small["y"], r_p=1e4, seed=0, mode="median")
 
