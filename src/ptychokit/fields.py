@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -144,18 +145,27 @@ def scatter_add(
 
 
 @contextmanager
-def frame_blocks(frames: int, workers: int):
-    """Yield (blocks, run): slices of BLOCK_FRAMES frames covering ``frames``
-    frames, and a map that runs a function over them on min(workers,
-    blocks) threads.
+def frame_blocks(frames: int, workers: int, frame_shape: tuple[int, ...]):
+    """Yield (blocks, run, buffer): slices of BLOCK_FRAMES frames covering
+    ``frames`` frames, a map that runs a function over them on min(workers,
+    blocks) threads, and ``buffer(n)``, the first n frames of the calling
+    thread's own complex128 block buffer, sized from the first block.
 
     Each thread starts with the caller's np.errstate, which is per thread.
     """
     blocks = [slice(i, i + BLOCK_FRAMES) for i in range(0, frames, BLOCK_FRAMES)]
+    shape = (min(frames, BLOCK_FRAMES), *frame_shape)
+    local = threading.local()
+
+    def buffer(n: int) -> np.ndarray:
+        if not hasattr(local, "a"):
+            local.a = np.empty(shape, dtype=np.complex128)
+        return local.a[:n]
+
     threads = min(workers, len(blocks))
     err = np.geterr()
     with ThreadPoolExecutor(threads, initializer=lambda: np.seterr(**err)) as pool:
-        yield blocks, (pool.map if threads > 1 else map)
+        yield blocks, (pool.map if threads > 1 else map), buffer
 
 
 def amplitude_power(probe: np.ndarray, kappa: float) -> np.ndarray:

@@ -205,36 +205,31 @@ def iterate_stack(
     under the solver's own names. The stack s = ``couple(init, coupling, grid)``
     is the only stack; it is updated in place. On each of the frame blocks k
     an iteration runs ``first(s[k], a, y[k])``, which leaves the coupling's
-    input in the thread's block buffer a; the buffers are stitched
-    into the image in block order, and each block then runs ``second(s[k],
-    couple(image, coupling, block_grid, out=a))`` and the NaN guard. Blocks
-    run on min(workers, blocks) threads; the image is summed in frame order,
-    so results do not depend on ``workers``. ``stitch(s, coupling, grid,
+    input in the thread's block buffer a. Each buffer is weighted in place and
+    stitched into the image in block order; each block then runs ``second(s[k],
+    couple(image, coupling, block_grid, out=a))`` and the NaN guard. Blocks run
+    on min(workers, blocks) threads; the image is summed in frame order, so
+    results do not depend on ``workers``. ``stitch(s, coupling, grid,
     out=image)`` gives the result and the image whose NRMSE is traced.
     """
     s = couple(init, coupling, grid)
     image = np.empty(grid.image_shape, dtype=np.complex128)
-    buffers = threading.local()
     start = time.perf_counter()
     rows: list[tuple[int, float, float]] = []
 
-    def buffer(k: slice) -> np.ndarray:
-        if not hasattr(buffers, "a"):
-            buffers.a = np.empty_like(s[blocks[0]])
-        return buffers.a[: len(s[k])]
-
     def first_block(k: slice, block_grid: ScanGrid, turn, next_turn) -> None:
-        a = buffer(k)
+        a = buffer(len(s[k]))
         try:
             first(s[k], a, y[k])
+            np.multiply(coupling.weight, a, out=a)
             turn.wait()
-            scatter_add(a, block_grid, coupling.weight, image)
+            scatter_add(a, block_grid, None, image)
         finally:  # the turn passes on after a failure too, so no later block waits forever
             turn.wait()
             next_turn.set()
 
     def second_block(k: slice, block_grid: ScanGrid) -> bool:
-        second(s[k], couple(image, coupling, block_grid, out=buffer(k)))
+        second(s[k], couple(image, coupling, block_grid, out=buffer(len(s[k]))))
         return bool(np.isfinite(s[k]).all())
 
     def descaled_image() -> np.ndarray:
@@ -249,7 +244,7 @@ def iterate_stack(
             err = nrmse_phase_aligned(descaled_image()[covered], target)
         rows.append((iteration, err, time.perf_counter() - start))
 
-    with frame_blocks(len(s), workers) as (blocks, run):
+    with frame_blocks(len(s), workers, s.shape[1:]) as (blocks, run, buffer):
         grids = [replace(grid, offsets=grid.offsets[k]) for k in blocks]
         record(0)
         for t in range(1, params.max_iters + 1):

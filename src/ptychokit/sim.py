@@ -10,7 +10,7 @@ intensities with Poisson draws scaled to a peak photon rate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -26,6 +26,8 @@ from .fields import (
 )
 
 NORMALIZATION_MODES = ("global-max", "per-pattern-max")
+# NumPy's largest Poisson mean; r_p is the largest mean add_poisson_noise draws.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 def make_scan_grid(
@@ -135,16 +137,21 @@ def forward_amplitude(
 ) -> np.ndarray:
     """Noise-free measured amplitudes y_j = |F(probe * P_j x)| for all j.
 
-    The frames are transformed in place, in the solvers' frame blocks on
-    min(workers, blocks) threads; each frame's bits do not depend on
-    ``workers``.
+    Each of the solvers' frame blocks is extracted into its thread's block
+    buffer and transformed there, on min(workers, blocks) threads, so only
+    the output is stack-sized; each frame's bits do not depend on ``workers``.
 
     :return: (J, N_p, N_p) nonnegative float64 stack.
     """
-    frames = extract_stack(x, grid, weight=probe)
-    with frame_blocks(len(frames), workers) as (blocks, run):
-        list(run(lambda k: fft2_orthonormal(frames[k], out=frames[k]), blocks))
-    return np.abs(frames)
+    out = np.empty((len(grid), *probe.shape))
+
+    def block(k: slice) -> None:
+        a = extract_stack(x, replace(grid, offsets=grid.offsets[k]), probe, buffer(len(out[k])))
+        np.abs(fft2_orthonormal(a, out=a), out=out[k])
+
+    with frame_blocks(len(out), workers, probe.shape) as (blocks, run, buffer):
+        list(run(block, blocks))
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,23 +180,25 @@ def add_poisson_noise(
     are square roots of the sampled counts.
 
     Pattern j draws from its own generator stream derived from
-    (seed, j), so results do not depend on evaluation order.
+    (seed, j), so results do not depend on evaluation order. Each pattern's
+    lambda is formed in its own output frame.
     """
-    if not 0 < r_p < np.inf:  # written so that NaN fails too
-        raise ValueError(f"peak photon rate r_p must satisfy 0 < r_p < inf, got {r_p!r}")
+    if not 0 < r_p <= POISSON_LAM_MAX:  # written so that NaN fails too
+        raise ValueError(f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
+                         f"(NumPy's Poisson limit), got {r_p!r}")
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    intensity = np.asarray(clean, dtype=np.float64) ** 2
-    if mode == "global-max":
-        ref = np.full(len(intensity), intensity.max())
-    else:
-        ref = intensity.max(axis=(1, 2))
-    out = np.empty_like(intensity)
-    for j in range(len(intensity)):
+    y = np.asarray(clean, dtype=np.float64)
+    # squaring is monotone in |y|, so this is each pattern's max(y**2), bit for bit
+    peak = np.square(np.maximum(y.max(axis=(1, 2)), -y.min(axis=(1, 2))))
+    ref = np.full(len(y), peak.max()) if mode == "global-max" else peak
+    out = np.zeros_like(y)
+    for j, lam in enumerate(out):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        lam = intensity[j] / ref[j] * r_p if ref[j] > 0 else np.zeros_like(intensity[j])
-        out[j] = np.sqrt(rng.poisson(lam).astype(np.float64))
-    scale = float(np.sqrt(r_p / intensity.max())) if intensity.max() > 0 else 1.0
+        if ref[j] > 0:
+            np.multiply(np.divide(np.square(y[j], out=lam), ref[j], out=lam), r_p, out=lam)
+        lam[...] = np.sqrt(rng.poisson(lam).astype(np.float64))
+    scale = float(np.sqrt(r_p / peak.max())) if peak.max() > 0 else 1.0
     return NoisyAmplitudes(stack=out, scale_factor=scale)
 
 

@@ -19,8 +19,13 @@ from hypothesis import strategies as st
 import ptychokit as pk
 from ptychokit.cli import main
 from ptychokit.metrics import read_trace_csv
+from ptychokit.sim import POISSON_LAM_MAX
 
 from conftest import trace_bytes_without_seconds
+
+ABOVE_LAM_MAX = float(np.nextafter(POISSON_LAM_MAX, np.inf))
+RATE_RANGE = (f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
+              "(NumPy's Poisson limit)")
 
 SIM_SECTION = {
     "image_shape": [48, 48],
@@ -802,14 +807,20 @@ class TestConfigErrors:
         assert err.startswith(f"error: config key 'sim.{key}'") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("r_p", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("r_p", [float("nan"), float("inf"), ABOVE_LAM_MAX])
     def test_sim_rate_outside_zero_to_inf_exits_2(self, tmp_path, capsys, r_p):
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, r_p=r_p))
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: peak photon rate r_p must satisfy 0 < r_p < inf, got {r_p!r}\n"
+        assert err == f"error: {RATE_RANGE}, got {r_p!r}\n"
         assert not out.exists()
+
+    def test_sim_rate_at_numpys_poisson_limit_exits_0(self, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, r_p=POISSON_LAM_MAX))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["r_p"] == POISSON_LAM_MAX
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=100, deadline=None)

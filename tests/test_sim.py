@@ -1,10 +1,46 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ptychokit as pk
-from ptychokit.sim import MANIFEST_NAME, PROBE_NAME, TRUTH_NAME
+from ptychokit import fields
+from ptychokit.sim import (
+    MANIFEST_NAME,
+    NORMALIZATION_MODES,
+    POISSON_LAM_MAX,
+    PROBE_NAME,
+    TRUTH_NAME,
+)
+
+ABOVE_LAM_MAX = float(np.nextafter(POISSON_LAM_MAX, np.inf))
+
+
+def rate_refusal(r_p) -> str:
+    """The whole message add_poisson_noise refuses ``r_p`` with, as a regex."""
+    return re.escape(f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
+                     f"(NumPy's Poisson limit), got {r_p!r}")
+
+
+def poisson_oracle(clean, r_p, seed, mode):
+    """add_poisson_noise as the whole-stack formula: intensity = y**2, its maxima, and
+    one generator stream per pattern."""
+    intensity = clean**2
+    if mode == "global-max":
+        ref = np.full(len(intensity), intensity.max())
+    else:
+        ref = intensity.max(axis=(1, 2))
+    out = np.empty_like(intensity)
+    for j in range(len(intensity)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        lam = intensity[j] / ref[j] * r_p if ref[j] > 0 else np.zeros_like(intensity[j])
+        out[j] = np.sqrt(rng.poisson(lam).astype(np.float64))
+    scale = float(np.sqrt(r_p / intensity.max())) if intensity.max() > 0 else 1.0
+    return out, scale
 
 
 class TestScanGridGeometry:
@@ -170,6 +206,29 @@ class TestForwardModel:
         for workers in (1, 2, 3, 8):
             assert pk.forward_amplitude(x, probe, grid, workers=workers).tobytes() == expected
 
+    @pytest.mark.parametrize("block_frames", [1, 5, 36])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), workers=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_the_per_frame_model(self, block_frames, data, n, workers, seed):
+        # one or two whole blocks, then a partial one (at one frame per block all are whole)
+        frames = (block_frames * data.draw(st.integers(1, 2), label="whole_blocks")
+                  + data.draw(st.integers(min(1, block_frames - 1), block_frames - 1),
+                              label="partial"))
+        shape = data.draw(st.tuples(st.integers(n + 10, n + 16), st.integers(n + 10, n + 16)),
+                          label="shape")
+        rng = np.random.default_rng(seed)
+        positions = [(r, c) for r in range(shape[0] - n + 1) for c in range(shape[1] - n + 1)]
+        offsets = tuple(positions[i] for i in rng.choice(len(positions), frames, replace=False))
+        grid = pk.ScanGrid(offsets, n, shape)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        probe = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "BLOCK_FRAMES", block_frames)
+            y = pk.forward_amplitude(x, probe, grid, workers=workers)
+        oracle = [np.abs(pk.fft2_orthonormal(probe * x[r : r + n, c : c + n])) for r, c in offsets]
+        assert y.tobytes() == np.stack(oracle).tobytes()
+
 
 class TestPoissonNoise:
     def test_deterministic_in_seed(self, small):
@@ -222,11 +281,40 @@ class TestPoissonNoise:
         np.testing.assert_array_equal(full.stack[0], solo.stack[0])
 
     def test_invalid_arguments_rejected(self, small):
-        for r_p in (0.0, -1.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match=r"^peak photon rate r_p must satisfy 0 < r_p <"):
+        for r_p in (0.0, -1.0, np.nan, np.inf, -np.inf, ABOVE_LAM_MAX):
+            with pytest.raises(ValueError, match=f"^{rate_refusal(r_p)}$"):
                 pk.add_poisson_noise(small["y"], r_p=r_p, seed=0)
         with pytest.raises(ValueError):
             pk.add_poisson_noise(small["y"], r_p=1e4, seed=0, mode="median")
+
+    def test_rate_limit_is_numpys_poisson_limit(self, small):
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(ABOVE_LAM_MAX)
+        top = pk.add_poisson_noise(small["y"], r_p=POISSON_LAM_MAX, seed=0)
+        assert np.isfinite(top.stack).all() and top.stack.max() > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        clean=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
+                     elements=st.floats(-1e6, 1e6)),
+        zero=st.integers(0, 4),
+        r_p=st.floats(1e-3, 1e12) | st.floats()
+        | st.sampled_from([POISSON_LAM_MAX, ABOVE_LAM_MAX, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(NORMALIZATION_MODES),
+    )
+    def test_same_bytes_as_the_whole_stack_formula(self, clean, zero, r_p, seed, mode):
+        clean[zero % len(clean)] = 0  # an all-zero frame beside entries of either sign
+        if not 0 < r_p <= POISSON_LAM_MAX:
+            with pytest.raises(ValueError, match=f"^{rate_refusal(r_p)}$"):
+                pk.add_poisson_noise(clean, r_p, seed, mode)
+            return
+        noisy = pk.add_poisson_noise(clean, r_p, seed, mode)
+        stack, scale = poisson_oracle(clean, r_p, seed, mode)
+        assert noisy.stack.tobytes() == stack.tobytes()
+        assert noisy.scale_factor == scale
 
 
 class TestDatasetIo:
