@@ -20,7 +20,7 @@ grid = pk.make_scan_grid(image_shape, 64, (8, 8), 14)
 truth = pk.synth_object(image_shape, seed=7)
 probe = pk.synth_probe(64, seed=11)
 y = pk.forward_amplitude(truth, probe, grid)
-mask = pk.build_coverage(probe, grid, 1.25).covered_mask
+mask = pk.build_coverage(probe, grid, 1.25) > 0
 ones = np.ones(image_shape, complex)
 
 # A plain run: pure data fitting (alpha=0), default weights

@@ -3,7 +3,6 @@ reconstruction with PMACE and SHARP solvers.
 """
 
 from .fields import (
-    CoverageMap,
     NumericalFailure,
     ScanGrid,
     accumulate_stack,
@@ -32,7 +31,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoverageMap",
     "NumericalFailure",
     "PmaceParams",
     "ScanGrid",

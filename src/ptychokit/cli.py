@@ -257,8 +257,8 @@ def cmd_evaluate(recon_path, dataset_path) -> int:
             f"reconstruction shape {recon.shape} does not match "
             f"ground truth {dataset.truth.shape}"
         )
-    coverage = build_coverage(dataset.probe, dataset.grid, 1.25)
-    err = nrmse_phase_aligned(recon, dataset.truth, coverage.covered_mask)
+    covered = build_coverage(dataset.probe, dataset.grid, 1.25) > 0
+    err = nrmse_phase_aligned(recon, dataset.truth, covered)
     print(f"{err!r}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,40 +179,28 @@ def amplitude_power(probe: np.ndarray, kappa: float) -> np.ndarray:
     return np.where(a > 0, a**kappa, 0.0)
 
 
-@dataclass(frozen=True)
-class CoverageMap:
-    """Probe-weighted coverage of the image plane.
-
-    :param weights: scatter-add of |probe|^kappa over all offsets (the
-        diagonal of the normalizer).
-    :param covered_mask: boolean map, true exactly where weights > 0.
-    """
-
-    weights: np.ndarray = field(repr=False)
-    covered_mask: np.ndarray = field(repr=False)
-
-
-def build_coverage(probe: np.ndarray, grid: ScanGrid, kappa: float) -> CoverageMap:
-    """Build the |probe|^kappa coverage map for a grid."""
+def build_coverage(probe: np.ndarray, grid: ScanGrid, kappa: float) -> np.ndarray:
+    """The float64 image of |probe|^kappa scatter-added over all offsets: the
+    diagonal of the overlap normalizer, positive exactly on the covered region."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     wk = amplitude_power(probe, kappa)
-    weights = np.empty(grid.image_shape, dtype=np.float64)
-    accumulate_stack(np.broadcast_to(wk, (len(grid), *wk.shape)), grid, out=weights)
-    return CoverageMap(weights=weights, covered_mask=weights > 0)
+    coverage = np.empty(grid.image_shape, dtype=np.float64)
+    return accumulate_stack(np.broadcast_to(wk, (len(grid), *wk.shape)), grid, out=coverage)
 
 
 def divide_where_covered(
-    image: np.ndarray, coverage: CoverageMap, out: np.ndarray | None = None
+    image: np.ndarray, coverage: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Pixelwise image / weights on the covered region, 0 elsewhere.
+    """Pixelwise image / coverage where coverage > 0, 0 elsewhere.
 
     ``out`` may be ``image`` itself.
     """
     if out is None:
         out = np.empty_like(image)
-    np.divide(image, coverage.weights, out=out, where=coverage.covered_mask)
-    out[~coverage.covered_mask] = 0
+    covered = coverage > 0
+    np.divide(image, coverage, out=out, where=covered)
+    out[~covered] = 0
     return out
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (
-    CoverageMap,
     NumericalFailure,
     ScanGrid,
     accumulate_stack,
@@ -140,21 +139,16 @@ def agent_update(
 @dataclass(frozen=True, repr=False, eq=False)
 class Coupling:
     """The probe weights of one overlap average, from :func:`pmace_coupling` or
-    :func:`sharp_coupling`: scatter weight, coverage, re-illumination (1 if None)."""
+    ``sharp.sharp_coupling``: scatter weight, coverage, re-illumination (1 if None)."""
 
     weight: np.ndarray
-    coverage: CoverageMap
+    coverage: np.ndarray
     illumination: np.ndarray | None = None
 
 
 def pmace_coupling(probe: np.ndarray, grid: ScanGrid, kappa: float) -> Coupling:
     """PMACE's consensus G: weights |d|^kappa, their coverage, no re-illumination."""
     return Coupling(amplitude_power(probe, kappa), build_coverage(probe, grid, kappa))
-
-
-def sharp_coupling(probe: np.ndarray, grid: ScanGrid) -> Coupling:
-    """SHARP's P_Q: weights conj d, the |d|^2 coverage, re-illumination by d."""
-    return Coupling(np.conj(probe), build_coverage(probe, grid, 2.0), probe)
 
 
 def stitch_weighted(
@@ -196,7 +190,7 @@ def check_solver_inputs(
 
 
 def iterate_stack(
-    first, couple, second, stitch, coupling: Coupling, init: np.ndarray, y: np.ndarray,
+    step, couple, stitch, coupling: Coupling, gain, init: np.ndarray, y: np.ndarray,
     grid: ScanGrid, params, trace_target: np.ndarray | None, descale: float, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """The loop both solvers share: frame blocks, streamed coupling, trace and NaN guard.
@@ -204,11 +198,13 @@ def iterate_stack(
     ``couple`` and ``stitch`` are :func:`consensus` and :func:`stitch_weighted`
     under the solver's own names. The stack s = ``couple(init, coupling, grid)``
     is the only stack; it is updated in place. On each of the frame blocks k
-    an iteration runs ``first(s[k], a, y[k])``, which leaves the coupling's
-    input in the thread's block buffer a. Each buffer is weighted in place and
-    stitched into the image in block order; each block then runs ``second(s[k],
-    couple(image, coupling, block_grid, out=a))`` and the NaN guard. Blocks run
-    on min(workers, blocks) threads; the image is summed in frame order, so
+    an iteration runs ``step(s[k], a, y[k])``, which leaves the coupling's
+    input in the thread's block buffer a and the rest of the update in s[k].
+    Each buffer is weighted in place and stitched into the image in block
+    order. The image is divided by the coverage and, unless ``gain`` is None,
+    multiplied by it once; each block then adds ``couple(image, coupling,
+    block_grid, out=a)`` to s[k] and runs the NaN guard. Blocks run on
+    min(workers, blocks) threads; the image is summed in frame order, so
     results do not depend on ``workers``. ``stitch(s, coupling, grid,
     out=image)`` gives the result and the image whose NRMSE is traced.
     """
@@ -217,10 +213,10 @@ def iterate_stack(
     start = time.perf_counter()
     rows: list[tuple[int, float, float]] = []
 
-    def first_block(k: slice, block_grid: ScanGrid, turn, next_turn) -> None:
+    def step_block(k: slice, block_grid: ScanGrid, turn, next_turn) -> None:
         a = buffer(len(s[k]))
         try:
-            first(s[k], a, y[k])
+            step(s[k], a, y[k])
             np.multiply(coupling.weight, a, out=a)
             turn.wait()
             scatter_add(a, block_grid, None, image)
@@ -228,14 +224,14 @@ def iterate_stack(
             turn.wait()
             next_turn.set()
 
-    def second_block(k: slice, block_grid: ScanGrid) -> bool:
-        second(s[k], couple(image, coupling, block_grid, out=buffer(len(s[k]))))
+    def read_back_block(k: slice, block_grid: ScanGrid) -> bool:
+        np.add(s[k], couple(image, coupling, block_grid, out=buffer(len(s[k]))), out=s[k])
         return bool(np.isfinite(s[k]).all())
 
     def descaled_image() -> np.ndarray:
         return np.multiply(stitch(s, coupling, grid, out=image), 1 / descale, out=image)
 
-    covered = coupling.coverage.covered_mask
+    covered = coupling.coverage > 0
     target = None if trace_target is None else trace_target[covered]
 
     def record(iteration: int) -> None:
@@ -251,9 +247,11 @@ def iterate_stack(
             image.fill(0)
             turns = [threading.Event() for _ in range(len(blocks) + 1)]
             turns[0].set()
-            list(run(first_block, blocks, grids, turns, turns[1:]))
+            list(run(step_block, blocks, grids, turns, turns[1:]))
             divide_where_covered(image, coupling.coverage, out=image)
-            if not all(list(run(second_block, blocks, grids))):
+            if gain is not None:
+                np.multiply(gain, image, out=image)
+            if not all(list(run(read_back_block, blocks, grids))):
                 raise NumericalFailure(t)
             if t % params.eval_every == 0 or t == params.max_iters:
                 record(t)
@@ -271,7 +269,8 @@ def mann_iterate(
 
         w <- F(v);  z <- G(2w - v);  v <- (v - 2 rho w) + 2 rho z
 
-    starting from v_j = P_j(init), with w and z in a block buffer. The
+    starting from v_j = P_j(init), with w and z in a block buffer; 2 rho z
+    is read back from the consensus image scaled once by 2 rho. The
     reconstruction is the weighted back-projection of the final v, divided
     by `descale` (the simulator's amplitude scale factor for noisy data; 1
     for noise-free data). The trace records phase-aligned NRMSE against
@@ -284,15 +283,12 @@ def mann_iterate(
     check_solver_inputs(y, probe, grid, init)
     coupling = pmace_coupling(probe, grid, params.kappa)
 
-    def first(v, a, y):
+    def step(v, a, y):
         t = np.multiply(2 * params.rho, agent_update(v, y, probe, params.alpha, out=a))
         np.subtract(np.multiply(2, a, out=a), v, out=a)
         np.subtract(v, t, out=v)
 
-    def second(v, a):
-        np.add(v, np.multiply(2 * params.rho, a, out=a), out=v)
-
     return iterate_stack(
-        first, consensus, second, stitch_weighted, coupling, init, y, grid, params,
+        step, consensus, stitch_weighted, coupling, 2 * params.rho, init, y, grid, params,
         trace_target, descale, workers,
     )

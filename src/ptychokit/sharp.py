@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScanGrid
+from .fields import ScanGrid, build_coverage
 from .pmace import (
+    Coupling,
     check_solver_inputs,
     consensus as p_q,
     iterate_stack,
     p_a,
-    sharp_coupling,
     stitch_weighted as stitch_frames,
 )
 
@@ -57,29 +57,30 @@ class SharpParams:
             raise ValueError("eval_every must be at least 1")
 
 
-def block_steps(beta: float, variant: str):
-    """(first, second): the per-block halves of one in-place SHARP update.
+def sharp_coupling(probe: np.ndarray, grid: ScanGrid) -> Coupling:
+    """SHARP's P_Q: weights conj d, the |d|^2 coverage, re-illumination by d."""
+    return Coupling(np.conj(probe), build_coverage(probe, grid, 2.0), probe)
 
-        first(s, a, y):  a <- P_a s;  t <- sign beta s;  s <- (1 - 2 beta) a - t;
-                         a <- 2 beta a + t
-        second(s, a):    s <- a + s
 
-    With a <- P_Q(a) between them this is s <- P_Q(2 beta P_a s + sign beta s)
-    + ((1 - 2 beta) P_a s - sign beta s), with sign -1 for SHARP+ and +1 for
-    SHARP; t is block-sized. Each half works on any run of frames s, a and y share.
+def block_step(beta: float, variant: str):
+    """One in-place SHARP update on any run of frames s, a and y share, all
+    but the driver's s <- s + P_Q(a):
+
+        step(s, a, y):  a <- P_a s;  t <- sign beta s;  s <- (1 - 2 beta) a - t;
+                        a <- 2 beta a + t
+
+    So s <- P_Q(2 beta P_a s + sign beta s) + ((1 - 2 beta) P_a s - sign beta s),
+    with sign -1 for SHARP+ and +1 for SHARP; t is block-sized.
     """
     sign = -1.0 if variant == "sharp_plus" else 1.0
 
-    def first(s, a, y):
+    def step(s, a, y):
         p_a(s, y, out=a)
         t = np.multiply(sign * beta, s)
         np.subtract(np.multiply(1 - 2 * beta, a, out=s), t, out=s)
         np.add(np.multiply(2 * beta, a, out=a), t, out=a)
 
-    def second(s, a):
-        np.add(a, s, out=s)
-
-    return first, second
+    return step
 
 
 def sharp_iterate(
@@ -96,8 +97,7 @@ def sharp_iterate(
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
     check_solver_inputs(y, probe, grid, init)
-    first, second = block_steps(params.beta, params.variant)
     return iterate_stack(
-        first, p_q, second, stitch_frames, sharp_coupling(probe, grid), init, y, grid,
-        params, trace_target, descale, workers,
+        block_step(params.beta, params.variant), p_q, stitch_frames, sharp_coupling(probe, grid),
+        None, init, y, grid, params, trace_target, descale, workers,
     )

@@ -181,7 +181,8 @@ def add_poisson_noise(
 
     Pattern j draws from its own generator stream derived from
     (seed, j), so results do not depend on evaluation order. Each pattern's
-    lambda is formed in its own output frame.
+    lambda is formed in its own output frame. A pair whose scale factor
+    sqrt(r_p / max y^2) is not finite is refused before any draw.
     """
     if not 0 < r_p <= POISSON_LAM_MAX:  # written so that NaN fails too
         raise ValueError(f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
@@ -192,13 +193,18 @@ def add_poisson_noise(
     # squaring is monotone in |y|, so this is each pattern's max(y**2), bit for bit
     peak = np.square(np.maximum(y.max(axis=(1, 2)), -y.min(axis=(1, 2))))
     ref = np.full(len(y), peak.max()) if mode == "global-max" else peak
+    top = float(peak.max())
+    # Python floats: an overflowing quotient is inf without a RuntimeWarning
+    scale = float(np.sqrt(float(r_p) / top)) if top > 0 else 1.0
+    if not np.isfinite(scale):
+        raise ValueError(f"scale factor sqrt(r_p / peak) is not finite for r_p = {r_p!r} "
+                         f"and peak intensity {top!r}")
     out = np.zeros_like(y)
     for j, lam in enumerate(out):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
         if ref[j] > 0:
             np.multiply(np.divide(np.square(y[j], out=lam), ref[j], out=lam), r_p, out=lam)
         lam[...] = np.sqrt(rng.poisson(lam).astype(np.float64))
-    scale = float(np.sqrt(r_p / peak.max())) if peak.max() > 0 else 1.0
     return NoisyAmplitudes(stack=out, scale_factor=scale)
 
 

@@ -30,13 +30,12 @@ def desk():
     x = pk.synth_object(DESK_SHAPE, DESK_OBJECT_SEED)
     probe = pk.synth_probe(DESK_PROBE, DESK_PROBE_SEED)
     y = pk.forward_amplitude(x, probe, grid)
-    coverage = pk.build_coverage(probe, grid, 1.25)
     return {
         "grid": grid,
         "truth": x,
         "probe": probe,
         "y": y,
-        "mask": coverage.covered_mask,
+        "mask": pk.build_coverage(probe, grid, 1.25) > 0,
     }
 
 
@@ -48,13 +47,12 @@ def small():
     x = pk.synth_object(shape, 3)
     probe = pk.synth_probe(n_p, 5)
     y = pk.forward_amplitude(x, probe, grid)
-    coverage = pk.build_coverage(probe, grid, 1.25)
     return {
         "grid": grid,
         "truth": x,
         "probe": probe,
         "y": y,
-        "mask": coverage.covered_mask,
+        "mask": pk.build_coverage(probe, grid, 1.25) > 0,
     }
 
 

@@ -262,16 +262,16 @@ class TestCoverage:
         cov = build_coverage(probe, grid, 0.0)
         expected = np.zeros((4, 4))
         expected[1:3, 1:3] = 1.0
-        np.testing.assert_array_equal(cov.weights, expected)
-        np.testing.assert_array_equal(cov.covered_mask, expected > 0)
+        np.testing.assert_array_equal(cov, expected)
+        assert cov.dtype == np.float64
 
     def test_two_coincident_offsets_double_weight(self):
         # distinct rows that overlap fully in one pixel column band
         probe = np.full((2, 2), 2.0, dtype=complex)
         grid = ScanGrid(offsets=((0, 0), (0, 1)), patch_size=2, image_shape=(2, 3))
         cov = build_coverage(probe, grid, 2.0)
-        np.testing.assert_allclose(cov.weights[:, 1], 8.0)  # |2|^2 twice
-        np.testing.assert_allclose(cov.weights[:, 0], 4.0)
+        np.testing.assert_allclose(cov[:, 1], 8.0)  # |2|^2 twice
+        np.testing.assert_allclose(cov[:, 0], 4.0)
 
     def test_zero_amplitude_never_gains_weight(self):
         assert amplitude_power(np.zeros((2, 2), complex), 0.0).max() == 0.0
@@ -281,7 +281,7 @@ class TestCoverage:
         probe = np.array([[0, 1], [2, 0]], dtype=complex)
         grid = ScanGrid(offsets=((0, 0),), patch_size=2, image_shape=(2, 2))
         cov = build_coverage(probe, grid, 1.25)
-        np.testing.assert_array_equal(cov.covered_mask, np.abs(probe) > 0)
+        np.testing.assert_array_equal(cov > 0, np.abs(probe) > 0)
 
     def test_negative_kappa_rejected(self):
         grid = ScanGrid(offsets=((0, 0),), patch_size=2, image_shape=(2, 2))

@@ -221,17 +221,19 @@ def test_p_q_has_the_bits_of_extract_then_multiply(p):
 
 
 @settings(max_examples=30, deadline=None)
-@given(problems(), st.integers(1, 7))
-def test_couplings_streamed_block_by_block_have_the_whole_stack_bits(p, frames):
+@given(problems(), st.integers(1, 7), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_couplings_streamed_block_by_block_have_the_whole_stack_bits(p, frames, rho):
     # the solvers' form: blocks scatter-add into one image in order, the image
     # is normalized once, and each block reads its frames back from it; the
-    # whole-stack oracle is built from the probe without a Coupling
+    # whole-stack oracle is built from the probe without a Coupling. PMACE's
+    # driver also scales the normalized image once by its gain 2 rho, which
+    # must read back as 2 rho times each frame of the consensus
     grid, probe, stack = p["grid"], p["probe"], p["stack"]
     blocks = [slice(i, i + frames) for i in range(0, len(grid), frames)]
     grids = [dataclasses.replace(grid, offsets=grid.offsets[k]) for k in blocks]
-    for coupling, couple, weight, kappa, illumination in (
-        (p["coupling"], consensus, pk.amplitude_power(probe, 1.25), 1.25, None),
-        (p["coupling2"], p_q, np.conj(probe), 2.0, probe),
+    for coupling, couple, weight, kappa, illumination, gain in (
+        (p["coupling"], consensus, pk.amplitude_power(probe, 1.25), 1.25, None, 2 * rho),
+        (p["coupling2"], p_q, np.conj(probe), 2.0, probe, None),
     ):
         whole = divide_where_covered(accumulate_stack(stack, grid, weight=weight),
                                      pk.build_coverage(probe, grid, kappa))
@@ -242,6 +244,11 @@ def test_couplings_streamed_block_by_block_have_the_whole_stack_bits(p, frames):
         divide_where_covered(image, coupling.coverage, out=image)
         streamed = np.concatenate([couple(image, coupling, g) for g in grids])
         assert streamed.tobytes() == whole.tobytes()
+        if gain is not None:
+            np.multiply(gain, image, out=image)
+            for k, g in zip(blocks, grids):
+                for j, frame in enumerate(couple(image, coupling, g)):
+                    assert frame.tobytes() == np.multiply(gain, whole[k][j]).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -255,15 +262,13 @@ def test_couplings_hold_the_bytes_of_the_probe_weights(p, kappa):
     pm = pk.pmace_coupling(probe, grid, kappa)
     cov = pk.build_coverage(probe, grid, kappa)
     same(pm.weight, pk.amplitude_power(probe, kappa))
-    same(pm.coverage.weights, cov.weights)
-    same(pm.coverage.covered_mask, cov.covered_mask)
+    same(pm.coverage, cov)
     assert pm.illumination is None
     sh = pk.sharp_coupling(probe, grid)
     cov2 = pk.build_coverage(probe, grid, 2.0)
     same(sh.weight, np.conj(probe))
     same(sh.illumination, probe)
-    same(sh.coverage.weights, cov2.weights)
-    same(sh.coverage.covered_mask, cov2.covered_mask)
+    same(sh.coverage, cov2)
 
 
 def p_a_by_copy(frames, y):
@@ -319,7 +324,7 @@ def test_traced_result_has_the_bits_of_the_final_stitch(solver, iters, eval_ever
                          workers=workers)
     plain, _ = solve(y, probe, grid, params, init, descale=descale, workers=workers)
     assert traced.tobytes() == plain.tobytes()
-    mask = pk.build_coverage(probe, grid, params.kappa if solver == "pmace" else 2.0).covered_mask
+    mask = pk.build_coverage(probe, grid, params.kappa if solver == "pmace" else 2.0) > 0
     assert rows[-1][1] == pk.nrmse_phase_aligned(plain, x, mask)
 
 

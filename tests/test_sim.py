@@ -1,9 +1,10 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,6 +18,9 @@ from ptychokit.sim import (
     TRUTH_NAME,
 )
 
+# an overflow or invalid-value warning anywhere here is a fault, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ABOVE_LAM_MAX = float(np.nextafter(POISSON_LAM_MAX, np.inf))
 
 
@@ -24,6 +28,13 @@ def rate_refusal(r_p) -> str:
     """The whole message add_poisson_noise refuses ``r_p`` with, as a regex."""
     return re.escape(f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
                      f"(NumPy's Poisson limit), got {r_p!r}")
+
+
+def scale_refusal(r_p, peak) -> str:
+    """The whole message add_poisson_noise refuses a pair whose scale factor
+    sqrt(r_p / peak) is not finite with, as a regex."""
+    return re.escape(f"scale factor sqrt(r_p / peak) is not finite for r_p = {r_p!r} "
+                     f"and peak intensity {peak!r}")
 
 
 def poisson_oracle(clean, r_p, seed, mode):
@@ -287,6 +298,18 @@ class TestPoissonNoise:
         with pytest.raises(ValueError):
             pk.add_poisson_noise(small["y"], r_p=1e4, seed=0, mode="median")
 
+    def test_pair_with_an_overflowing_scale_factor_refused_before_any_draw(self, monkeypatch):
+        # r_p / max y^2 = 1e18 / 1e-320 overflows, so sqrt(r_p / peak) is inf
+        clean = np.full((2, 3, 3), 1e-160)
+
+        def no_draw(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        peak = float(np.square(1e-160))
+        with pytest.raises(ValueError, match=f"^{scale_refusal(1e18, peak)}$"):
+            pk.add_poisson_noise(clean, r_p=1e18, seed=0)
+
     def test_rate_limit_is_numpys_poisson_limit(self, small):
         rng = np.random.default_rng(0)
         rng.poisson(POISSON_LAM_MAX)
@@ -305,10 +328,17 @@ class TestPoissonNoise:
         seed=st.integers(0, 2**32 - 1),
         mode=st.sampled_from(NORMALIZATION_MODES),
     )
+    # r_p / max y^2 = 1e18 / 1e-320 overflows: a draw that must be refused
+    @example(clean=np.full((2, 3, 3), 1e-160), zero=0, r_p=1e18, seed=0, mode="global-max")
     def test_same_bytes_as_the_whole_stack_formula(self, clean, zero, r_p, seed, mode):
         clean[zero % len(clean)] = 0  # an all-zero frame beside entries of either sign
         if not 0 < r_p <= POISSON_LAM_MAX:
             with pytest.raises(ValueError, match=f"^{rate_refusal(r_p)}$"):
+                pk.add_poisson_noise(clean, r_p, seed, mode)
+            return
+        peak = float((clean**2).max())
+        if peak > 0 and math.isinf(r_p / peak):  # Python floats overflow to inf silently
+            with pytest.raises(ValueError, match=f"^{scale_refusal(r_p, peak)}$"):
                 pk.add_poisson_noise(clean, r_p, seed, mode)
             return
         noisy = pk.add_poisson_noise(clean, r_p, seed, mode)
