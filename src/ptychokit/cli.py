@@ -29,7 +29,6 @@ from . import pmace, sharp, sim
 from .fields import NumericalFailure, build_coverage, read_cfld, write_cfld
 from .metrics import nrmse_phase_aligned, write_trace_csv
 
-SOLVER_NAMES = ("pmace", "sharp", "sharp_plus")
 SWEEP_PARAMS = ("alpha", "beta", "kappa", "rho")
 WORKERS_HELP = "threads across frames (default: CPU count); results do not depend on it"
 
@@ -69,6 +68,14 @@ def _read(sec: dict, section: str, key: str, cast, default=None):
     return _cast(sec.get(key, default), f"{section}.{key}", cast)
 
 
+def _read_seed(sec: dict, section: str, key: str, default: int) -> int:
+    """A seed: a whole number that is not negative, as NumPy's generators require."""
+    seed = _read(sec, section, key, int, default)
+    if seed < 0:
+        raise ConfigError(f"config key '{section}.{key}' has invalid value {sec[key]!r}")
+    return seed
+
+
 def make_init(mode: str, shape: tuple[int, int], seed: int) -> np.ndarray:
     """Initial image: constant ones, or a seeded random field."""
     if mode == "ones":
@@ -87,12 +94,12 @@ def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
     probe_size = _read(sec, "sim", "probe_size", int)
     grid_dims = _read(sec, "sim", "grid_dims", tuple)
     spacing = _read(sec, "sim", "spacing", int)
-    object_seed = _read(sec, "sim", "object_seed", int, 0)
-    probe_seed = _read(sec, "sim", "probe_seed", int, 1)
+    object_seed = _read_seed(sec, "sim", "object_seed", 0)
+    probe_seed = _read_seed(sec, "sim", "probe_seed", 1)
     noise = _read(sec, "sim", "noise", bool, False)
     r_p = _read(sec, "sim", "r_p", float, 1e5)
     normalization = _read(sec, "sim", "normalization", str, "global-max")
-    noise_seed = _read(sec, "sim", "noise_seed", int, 0)
+    noise_seed = _read_seed(sec, "sim", "noise_seed", 0)
 
     grid = sim.make_scan_grid(image_shape, probe_size, grid_dims, spacing)
     x = sim.synth_object(image_shape, object_seed)
@@ -139,7 +146,7 @@ def read_solver(cfg: dict):
     elif name in sharp.VARIANTS:
         params = sharp.SharpParams(variant=name)
     else:
-        raise ConfigError(f"unknown solver {name!r} (expected one of {SOLVER_NAMES})")
+        raise ConfigError(f"unknown solver {name!r} (expected one of {('pmace', *sharp.VARIANTS)})")
     given = {}
     for field in dataclasses.fields(params):
         key = "iterations" if field.name == "max_iters" else field.name
@@ -149,7 +156,7 @@ def read_solver(cfg: dict):
     if data not in ("clean", "noisy"):
         raise ConfigError(f"solver.data must be 'clean' or 'noisy', got {data!r}")
     settings = {"name": name, "data": data, "init": sec.get("init", "ones"),
-                "init_seed": _read(sec, "solver", "init_seed", int, 0)}
+                "init_seed": _read_seed(sec, "solver", "init_seed", 0)}
     return dataclasses.replace(params, **given), settings
 
 
@@ -157,22 +164,11 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _measured(settings: dict, dataset: sim.Dataset):
-    """(y, descale): the amplitude stack solver.data names, read and checked
-    now, and the factor a reconstruction from it is divided by."""
-    if settings["data"] == "clean":
-        return dataset.clean, 1.0
-    if dataset.noisy is None:
-        raise ConfigError("config requests noisy data but the dataset has none")
-    return dataset.noisy, dataset.scale_factor
-
-
-def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, measured, workers: int,
-         run_dir: Path):
-    """Solve from ``measured`` = (y, descale) and write recon.cfld, trace.csv and
-    summary.json; return (final NRMSE, seconds)."""
+def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, y, descale: float,
+         workers: int, run_dir: Path):
+    """Solve from the amplitude stack ``y`` and write recon.cfld, trace.csv and
+    summary.json into ``run_dir``; return (final NRMSE, seconds)."""
     t0 = time.perf_counter()
-    y, descale = measured
     init = make_init(settings["init"], dataset.grid.image_shape, settings["init_seed"])
     # looked up at call time, so a wrapper installed on the module applies
     iterate = pmace.mann_iterate if isinstance(params, pmace.PmaceParams) else sharp.sharp_iterate
@@ -195,49 +191,51 @@ def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, measured, w
     return trace[-1][1], wall
 
 
-def cmd_reconstruct(cfg: dict, dataset_path, out_dir, workers: int) -> int:
-    params, settings = read_solver(cfg)
-    dataset = sim.load_dataset(dataset_path)
-    measured = _measured(settings, dataset)
-    out = Path(out_dir)
-    final, wall = _run(params, settings, dataset_path, dataset, measured, workers, out)
-    print(f"final NRMSE {final:.6e} after {params.max_iters} iterations "
-          f"({wall:.2f}s); artifacts in {out}")
-    return EXIT_OK
+def cmd_solve(cfg: dict, dataset_path, out_dir, workers: int, param=None, values=None) -> int:
+    """Solve each run and write it under ``out_dir``.
 
-
-def _sweep_values(text: str) -> list[float]:
-    try:
-        vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --values: {exc}") from exc
-    if not vals:
-        raise ConfigError("sweep needs a nonempty --values list")
-    return vals
-
-
-def cmd_sweep(cfg: dict, dataset_path, out_dir, param: str, values: list[float], workers: int) -> int:
+    ``reconstruct`` is one run, written into ``out_dir`` itself. ``sweep``
+    sets ``param`` to each of the comma-separated ``values``, one run per
+    value in ``out_dir/<param>_<value:g>``, and then writes sweep.csv and
+    sweep_summary.json. Every run is checked before the dataset is read.
+    """
     base, settings = read_solver(cfg)
-    if param not in {field.name for field in dataclasses.fields(base)}:
-        raise ConfigError(f"--param {param} is not a parameter of solver {settings['name']}")
-    runs = {}
-    for value in map(float, values):
-        name = f"{param}_{value:g}"
-        if name in runs:
-            raise ConfigError(
-                f"sweep values {getattr(runs[name], param)!r} and {value!r} would both "
-                f"write run directory {name}/"
-            )
-        runs[name] = dataclasses.replace(base, **{param: value})
+    runs = {"": base}
+    if param is not None:
+        if param not in {field.name for field in dataclasses.fields(base)}:
+            raise ConfigError(f"--param {param} is not a parameter of solver {settings['name']}")
+        try:
+            floats = [float(v) for v in values.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse --values: {exc}") from exc
+        if not floats:
+            raise ConfigError("sweep needs a nonempty --values list")
+        runs = {}
+        for value in floats:
+            name = f"{param}_{value:g}"
+            if name in runs:
+                raise ConfigError(
+                    f"sweep values {getattr(runs[name], param)!r} and {value!r} would both "
+                    f"write run directory {name}/"
+                )
+            runs[name] = dataclasses.replace(base, **{param: value})
     dataset = sim.load_dataset(dataset_path)
-    measured = _measured(settings, dataset)
+    # the stack solver.data names, read now and once for all runs
+    if settings["data"] == "clean":
+        y, descale = dataset.clean, 1.0
+    elif dataset.noisy is None:
+        raise ConfigError("config requests noisy data but the dataset has none")
+    else:
+        y, descale = dataset.noisy, dataset.scale_factor
     out = Path(out_dir)
     rows = []
     for name, params in runs.items():
-        value = getattr(params, param)
-        final, wall = _run(params, settings, dataset_path, dataset, measured, workers, out / name)
-        rows.append((value, final, wall))
-        print(f"{param}={value:g}: final NRMSE {final:.6e} ({wall:.2f}s)")
+        final, wall = _run(params, settings, dataset_path, dataset, y, descale, workers, out / name)
+        rows.append((getattr(params, param) if param else None, final, wall))
+        print(f"final NRMSE {final:.6e} after {params.max_iters} iterations "
+              f"({wall:.2f}s); artifacts in {out / name}")
+    if param is None:
+        return EXIT_OK
     (out / "sweep.csv").write_text("value,final_nrmse,seconds\n" + "".join(
         f"{value!r},{err!r},{wall!r}\n" for value, err, wall in rows))
     best = min(rows, key=lambda r: r[1])
@@ -279,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help=f"{what} output directory")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=WORKERS_HELP)
     p_rec.add_argument("--dataset", required=True, help="dataset directory from 'simulate'")
+    p_rec.set_defaults(param=None, values=None)
     p_swp.add_argument("--dataset", required=True)
     p_swp.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_swp.add_argument("--values", required=True, help="comma-separated values, e.g. 0.1,0.2,0.5")
@@ -307,10 +306,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, args.workers)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.dataset, args.out, args.workers)
-        return cmd_sweep(cfg, args.dataset, args.out, args.param, _sweep_values(args.values),
-                         args.workers)
+        return cmd_solve(cfg, args.dataset, args.out, args.workers, args.param, args.values)
     except (ConfigError, OSError, ValueError, MemoryError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else EXIT_CONFIG

@@ -182,7 +182,8 @@ def add_poisson_noise(
     Pattern j draws from its own generator stream derived from
     (seed, j), so results do not depend on evaluation order. Each pattern's
     lambda is formed in its own output frame. A pair whose scale factor
-    sqrt(r_p / max y^2) is not finite is refused before any draw.
+    sqrt(r_p / max y^2) overflows to inf or underflows to 0 is refused
+    before any draw.
     """
     if not 0 < r_p <= POISSON_LAM_MAX:  # written so that NaN fails too
         raise ValueError(f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
@@ -194,11 +195,11 @@ def add_poisson_noise(
     peak = np.square(np.maximum(y.max(axis=(1, 2)), -y.min(axis=(1, 2))))
     ref = np.full(len(y), peak.max()) if mode == "global-max" else peak
     top = float(peak.max())
-    # Python floats: an overflowing quotient is inf without a RuntimeWarning
+    # Python floats: an overflowing quotient is inf, an underflowing one 0, with no warning
     scale = float(np.sqrt(float(r_p) / top)) if top > 0 else 1.0
-    if not np.isfinite(scale):
-        raise ValueError(f"scale factor sqrt(r_p / peak) is not finite for r_p = {r_p!r} "
-                         f"and peak intensity {top!r}")
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale factor sqrt(r_p / peak) is not a positive finite number "
+                         f"for r_p = {r_p!r} and peak intensity {top!r}")
     out = np.zeros_like(y)
     for j, lam in enumerate(out):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))

@@ -128,7 +128,7 @@ def tree_bytes(path):
 
 # Commands that write an --out directory, each with a config of its own.
 OUT_KINDS = ("simulate noisy", "simulate clean", "reconstruct pmace", "reconstruct sharp",
-             "sweep pmace")
+             "sweep pmace", "sweep sharp_plus")
 # What each of them computes; none of it may run when --out is refused.
 WORK = ("ptychokit.sim.synth_object", "ptychokit.sim.load_dataset",
         "ptychokit.pmace.mann_iterate", "ptychokit.sharp.sharp_iterate")
@@ -143,7 +143,7 @@ def out_command(kind, tmp, dataset_dir, out):
     cfg = write_config(tmp / f"{command}-{which}.yaml", sim=sim, solver=solver)
     extra = [] if command == "simulate" else ["--dataset", str(dataset_dir)]
     if command == "sweep":
-        extra += ["--param", "alpha", "--values", "0.1,0.2"]
+        extra += ["--param", "alpha" if which == "pmace" else "beta", "--values", "0.1,0.2"]
     return [command, "--config", cfg, "--out", str(out), "--workers", "1", *extra]
 
 
@@ -301,7 +301,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", [1]), ("alpha", {"a": 1}), ("iterations", [5]), ("init_seed", "x"),
-        ("eval_every", float("inf")), ("alpha", True),
+        ("eval_every", float("inf")), ("alpha", True), ("init_seed", -1),
     ])
     def test_solver_value_of_wrong_type_exits_2(self, tmp_path, dataset_dir, capsys, key, value):
         code, out = self.run(tmp_path, dataset_dir, {key: value})
@@ -312,6 +312,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("key, value", [
         ("iterations", 2.7), ("eval_every", 1.5), ("init_seed", 0.5), ("iterations", True),
+        ("init_seed", -1),
     ])
     def test_integer_key_that_is_not_whole_exits_2(
         self, tmp_path, dataset_dir, capsys, key, value
@@ -662,6 +663,30 @@ class TestSweep:
         assert best["best_nrmse"] == min(err for _, err in rows)
         assert (best["best_value"], best["best_nrmse"]) in rows
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_value_sweep_run_matches_reconstruct(self, tmp_path, dataset_dir, capsys,
+                                                     workers):
+        # the config's alpha is 0.1, so the sweep's one run is the reconstruction
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION, iterations=10))
+        common = ["--config", cfg, "--dataset", str(dataset_dir), "--workers"]
+        run, sweep = tmp_path / "run", tmp_path / "sweep"
+        assert main(["reconstruct", *common, "1", "--out", str(run)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f"; artifacts in {run}")
+        assert main(["sweep", *common, workers, "--out", str(sweep), "--param", "alpha",
+                     "--values", "0.1"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].endswith(f"; artifacts in {sweep / 'alpha_0.1'}")
+        assert printed[1].startswith("best alpha=0.1 ") and len(printed) == 2
+
+        def without_timing(run_dir):
+            summary = json.loads((run_dir / "summary.json").read_text())
+            del summary["wall_seconds"], summary["workers"]
+            return (sorted(p.name for p in run_dir.iterdir()), summary,
+                    (run_dir / "recon.cfld").read_bytes(),
+                    trace_bytes_without_seconds(run_dir / "trace.csv"))
+
+        assert without_timing(sweep / "alpha_0.1") == without_timing(run)
+
     def test_values_sharing_a_run_directory_exit_2(self, tmp_path, dataset_dir, capsys):
         # both values print as 0.1 under {value:g}, so the second run
         # would overwrite the first one's artifacts
@@ -797,7 +822,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("key, value", [
         ("image_shape", 5), ("grid_dims", [3]), ("spacing", 8.5), ("noise", "off"),
         ("image_shape", [48, 48.5]), ("probe_size", True), ("noise_seed", [9]),
-        ("r_p", [1e5]),
+        ("r_p", [1e5]), ("object_seed", -1), ("probe_seed", -1), ("noise_seed", -1),
     ])
     def test_sim_value_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, **{key: value}))
@@ -814,6 +839,17 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {RATE_RANGE}, got {r_p!r}\n"
+        assert not out.exists()
+
+    def test_sim_rate_whose_scale_factor_underflows_exits_2(self, tmp_path, capsys):
+        # the 48² instance's peak intensity is about 11, so r_p / peak rounds to 0
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, r_p=5e-324))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale factor sqrt(r_p / peak) is not a positive finite "
+                              "number for r_p = 5e-324 and peak intensity ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_sim_rate_at_numpys_poisson_limit_exits_0(self, tmp_path):

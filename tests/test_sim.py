@@ -32,9 +32,9 @@ def rate_refusal(r_p) -> str:
 
 def scale_refusal(r_p, peak) -> str:
     """The whole message add_poisson_noise refuses a pair whose scale factor
-    sqrt(r_p / peak) is not finite with, as a regex."""
-    return re.escape(f"scale factor sqrt(r_p / peak) is not finite for r_p = {r_p!r} "
-                     f"and peak intensity {peak!r}")
+    sqrt(r_p / peak) overflows to inf or underflows to 0 with, as a regex."""
+    return re.escape(f"scale factor sqrt(r_p / peak) is not a positive finite number "
+                     f"for r_p = {r_p!r} and peak intensity {peak!r}")
 
 
 def poisson_oracle(clean, r_p, seed, mode):
@@ -299,16 +299,16 @@ class TestPoissonNoise:
             pk.add_poisson_noise(small["y"], r_p=1e4, seed=0, mode="median")
 
     def test_pair_with_an_overflowing_scale_factor_refused_before_any_draw(self, monkeypatch):
-        # r_p / max y^2 = 1e18 / 1e-320 overflows, so sqrt(r_p / peak) is inf
-        clean = np.full((2, 3, 3), 1e-160)
-
         def no_draw(*args):
             raise AssertionError("a generator was made")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        peak = float(np.square(1e-160))
-        with pytest.raises(ValueError, match=f"^{scale_refusal(1e18, peak)}$"):
-            pk.add_poisson_noise(clean, r_p=1e18, seed=0)
+        # r_p / max y^2 = 1e18 / 1e-320 overflows, so sqrt(r_p / peak) is inf;
+        # 5e-324 / 4.0 underflows, so it is 0 and every draw would be 0
+        for value, r_p in ((1e-160, 1e18), (2.0, 5e-324)):
+            peak = float(np.square(value))
+            with pytest.raises(ValueError, match=f"^{scale_refusal(r_p, peak)}$"):
+                pk.add_poisson_noise(np.full((2, 3, 3), value), r_p=r_p, seed=0)
 
     def test_rate_limit_is_numpys_poisson_limit(self, small):
         rng = np.random.default_rng(0)
@@ -328,8 +328,9 @@ class TestPoissonNoise:
         seed=st.integers(0, 2**32 - 1),
         mode=st.sampled_from(NORMALIZATION_MODES),
     )
-    # r_p / max y^2 = 1e18 / 1e-320 overflows: a draw that must be refused
+    # r_p / max y^2 = 1e18 / 1e-320 overflows and 5e-324 / 4.0 underflows: pairs to refuse
     @example(clean=np.full((2, 3, 3), 1e-160), zero=0, r_p=1e18, seed=0, mode="global-max")
+    @example(clean=np.full((2, 3, 3), 2.0), zero=0, r_p=5e-324, seed=0, mode="global-max")
     def test_same_bytes_as_the_whole_stack_formula(self, clean, zero, r_p, seed, mode):
         clean[zero % len(clean)] = 0  # an all-zero frame beside entries of either sign
         if not 0 < r_p <= POISSON_LAM_MAX:
@@ -337,7 +338,8 @@ class TestPoissonNoise:
                 pk.add_poisson_noise(clean, r_p, seed, mode)
             return
         peak = float((clean**2).max())
-        if peak > 0 and math.isinf(r_p / peak):  # Python floats overflow to inf silently
+        # Python floats overflow to inf and underflow to 0 silently
+        if peak > 0 and not 0 < r_p / peak < math.inf:
             with pytest.raises(ValueError, match=f"^{scale_refusal(r_p, peak)}$"):
                 pk.add_poisson_noise(clean, r_p, seed, mode)
             return
