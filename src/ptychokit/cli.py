@@ -68,24 +68,14 @@ def _read(sec: dict, section: str, key: str, cast, default=None):
     return _cast(sec.get(key, default), f"{section}.{key}", cast)
 
 
-def _read_seed(sec: dict, section: str, key: str, default: int) -> int:
-    """A seed: a whole number that is not negative, as NumPy's generators require."""
-    seed = _read(sec, section, key, int, default)
-    if seed < 0:
-        raise ConfigError(f"config key '{section}.{key}' has invalid value {sec[key]!r}")
-    return seed
-
-
 def make_init(mode: str, shape: tuple[int, int], seed: int) -> np.ndarray:
-    """Initial image: constant ones, or a seeded random field."""
+    """Initial image: constant ones (mode 'ones'), or a seeded random field ('random')."""
     if mode == "ones":
         return np.ones(shape, dtype=np.complex128)
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        amp = 0.5 + 0.5 * rng.random(shape)
-        pha = rng.uniform(-np.pi, np.pi, shape)
-        return amp * np.exp(1j * pha)
-    raise ConfigError(f"unknown init mode {mode!r} (expected 'ones' or 'random')")
+    rng = np.random.default_rng(seed)
+    amp = 0.5 + 0.5 * rng.random(shape)
+    pha = rng.uniform(-np.pi, np.pi, shape)
+    return amp * np.exp(1j * pha)
 
 
 def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
@@ -94,12 +84,12 @@ def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
     probe_size = _read(sec, "sim", "probe_size", int)
     grid_dims = _read(sec, "sim", "grid_dims", tuple)
     spacing = _read(sec, "sim", "spacing", int)
-    object_seed = _read_seed(sec, "sim", "object_seed", 0)
-    probe_seed = _read_seed(sec, "sim", "probe_seed", 1)
+    object_seed = _read(sec, "sim", "object_seed", int, 0)
+    probe_seed = _read(sec, "sim", "probe_seed", int, 1)
     noise = _read(sec, "sim", "noise", bool, False)
     r_p = _read(sec, "sim", "r_p", float, 1e5)
-    normalization = _read(sec, "sim", "normalization", str, "global-max")
-    noise_seed = _read_seed(sec, "sim", "noise_seed", 0)
+    normalization = _read(sec, "sim", "normalization", sim.NORMALIZATION_MODES, "global-max")
+    noise_seed = _read(sec, "sim", "noise_seed", int, 0)
 
     grid = sim.make_scan_grid(image_shape, probe_size, grid_dims, spacing)
     x = sim.synth_object(image_shape, object_seed)
@@ -119,16 +109,20 @@ def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
 
 
 def _cast(value, key: str, cast):
-    """``value`` as ``cast``: an int must be whole, a bool a boolean, a tuple two whole numbers."""
+    """``value`` as ``cast``: an int must be a whole number that is not negative, a bool a
+    boolean, a tuple two such ints; a tuple of strings lists the values allowed as they are."""
     try:
+        if isinstance(cast, tuple):
+            return cast[cast.index(value)]  # ValueError for a value not in the list
         if cast is tuple and isinstance(value, list) and len(value) == 2:
             return tuple(_cast(v, key, int) for v in value)
         if cast is tuple or (cast is bool) != isinstance(value, bool) or (
-                cast is int and not float(value).is_integer()):
+                cast is int and not (float(value).is_integer() and int(value) >= 0)):
             raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key '{key}' has invalid value {value!r}") from exc
+        allowed = f" (one of: {', '.join(cast)})" if isinstance(cast, tuple) else ""
+        raise ConfigError(f"config key '{key}' has invalid value {value!r}{allowed}") from exc
 
 
 def read_solver(cfg: dict):
@@ -140,23 +134,16 @@ def read_solver(cfg: dict):
     run inputs: data, init and init_seed.
     """
     sec = _section(cfg, "solver")
-    name = _read(sec, "solver", "name", str)
-    if name == "pmace":
-        params = pmace.PmaceParams()
-    elif name in sharp.VARIANTS:
-        params = sharp.SharpParams(variant=name)
-    else:
-        raise ConfigError(f"unknown solver {name!r} (expected one of {('pmace', *sharp.VARIANTS)})")
+    name = _read(sec, "solver", "name", ("pmace", *sharp.VARIANTS))
+    params = pmace.PmaceParams() if name == "pmace" else sharp.SharpParams(variant=name)
     given = {}
     for field in dataclasses.fields(params):
         key = "iterations" if field.name == "max_iters" else field.name
         if key in sec and field.name != "variant":
             given[field.name] = _cast(sec[key], f"solver.{key}", type(field.default))
-    data = sec.get("data", "clean")
-    if data not in ("clean", "noisy"):
-        raise ConfigError(f"solver.data must be 'clean' or 'noisy', got {data!r}")
-    settings = {"name": name, "data": data, "init": sec.get("init", "ones"),
-                "init_seed": _read_seed(sec, "solver", "init_seed", 0)}
+    settings = {"name": name, "data": _read(sec, "solver", "data", ("clean", "noisy"), "clean"),
+                "init": _read(sec, "solver", "init", ("ones", "random"), "ones"),
+                "init_seed": _read(sec, "solver", "init_seed", int, 0)}
     return dataclasses.replace(params, **given), settings
 
 
@@ -221,12 +208,7 @@ def cmd_solve(cfg: dict, dataset_path, out_dir, workers: int, param=None, values
             runs[name] = dataclasses.replace(base, **{param: value})
     dataset = sim.load_dataset(dataset_path)
     # the stack solver.data names, read now and once for all runs
-    if settings["data"] == "clean":
-        y, descale = dataset.clean, 1.0
-    elif dataset.noisy is None:
-        raise ConfigError("config requests noisy data but the dataset has none")
-    else:
-        y, descale = dataset.noisy, dataset.scale_factor
+    y, descale = dataset.amplitudes(noisy=settings["data"] == "noisy")
     out = Path(out_dir)
     rows = []
     for name, params in runs.items():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -263,8 +262,8 @@ def write_dataset(
 
 @dataclass(frozen=True)
 class Dataset:
-    """A dataset directory: manifest, truth and probe are read on load; each
-    amplitude stack is read, checked and kept when it is first used."""
+    """A dataset directory: manifest, truth and probe are read on load, and an
+    amplitude stack only when :meth:`amplitudes` is called."""
 
     root: Path
     truth: np.ndarray
@@ -273,10 +272,15 @@ class Dataset:
     noise: bool
     scale_factor: float
 
-    def _amplitudes(self, noisy: bool) -> np.ndarray:
-        """The (J, N_p, N_p) float64 stack of one kind; each file must hold
+    def amplitudes(self, noisy: bool) -> tuple[np.ndarray, float]:
+        """(stack, descale): the (J, N_p, N_p) float64 clean or noisy stack, read
+        from its files, and the factor a reconstruction from it is divided by
+        (1 for clean data, ``scale_factor`` for noisy). Each file must hold
         finite, nonnegative amplitudes with zero imaginary parts and the
         probe's shape."""
+        if noisy and not self.noise:
+            raise ValueError(f"noisy data requested, but dataset {self.root} was simulated "
+                             "without noise")
         stack = np.empty((len(self.grid), *self.probe.shape))
         for j in range(len(stack)):
             path = self.root / _amplitude_name(j, noisy)
@@ -287,15 +291,7 @@ class Dataset:
             if a.imag.any() or not ((0 <= a.real) & (a.real < np.inf)).all():
                 raise ValueError(f"{path}: amplitudes must be finite, nonnegative and real")
             stack[j] = a.real
-        return stack
-
-    @cached_property
-    def clean(self) -> np.ndarray:
-        return self._amplitudes(noisy=False)
-
-    @cached_property
-    def noisy(self) -> np.ndarray | None:
-        return self._amplitudes(noisy=True) if self.noise else None
+        return stack, self.scale_factor if noisy else 1.0
 
 
 # The manifest keys load_dataset reads, each with the test its JSON value must pass.
@@ -312,7 +308,7 @@ _MANIFEST_KEYS = {
 def load_dataset(path) -> Dataset:
     """Load a dataset directory written by :func:`write_dataset`: check its
     manifest, then read and check the truth and probe. The amplitude files
-    are read on first use of ``clean`` or ``noisy``."""
+    are read by :meth:`Dataset.amplitudes`."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     with open(manifest_path) as fh:

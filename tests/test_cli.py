@@ -98,6 +98,17 @@ def main_quietly(argv):
     return code, err.getvalue()
 
 
+def nan_agent_update(original):
+    """``original`` pmace.agent_update with a NaN put into each output: it stands in
+    for a solve that diverges on valid data."""
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out[0, 0, 0] = np.nan
+        return out
+
+    return poisoned
+
+
 def write_config(path, sim=None, solver=None):
     cfg = {}
     if sim is not None:
@@ -312,7 +323,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("key, value", [
         ("iterations", 2.7), ("eval_every", 1.5), ("init_seed", 0.5), ("iterations", True),
-        ("init_seed", -1),
+        ("init_seed", -1), ("iterations", -1),
     ])
     def test_integer_key_that_is_not_whole_exits_2(
         self, tmp_path, dataset_dir, capsys, key, value
@@ -355,15 +366,7 @@ class TestReconstruct:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_iterate_exits_3(self, tmp_path, dataset_dir, capsys, monkeypatch):
-        # a NaN from the agent update stands in for a solve that diverges on valid data
-        original = pk.pmace.agent_update
-
-        def poisoned(*args, **kwargs):
-            out = original(*args, **kwargs)
-            out[0, 0, 0] = np.nan
-            return out
-
-        monkeypatch.setattr(pk.pmace, "agent_update", poisoned)
+        monkeypatch.setattr(pk.pmace, "agent_update", nan_agent_update(pk.pmace.agent_update))
         code, out = self.run(tmp_path, dataset_dir)
         assert code == 3
         assert capsys.readouterr().err == "error: non-finite values in iterate at iteration 1\n"
@@ -533,6 +536,21 @@ class TestDatasetReads:
                             "--out", str(tmp_path / "run"), "--workers", "1"])
         assert code == 0
         assert opened == ["truth.cfld", "probe.cfld"] + [f"{prefix}{j:04d}.cfld" for j in range(9)]
+
+    def test_bad_init_mode_exits_2_before_any_dataset_read(self, tmp_path, opened):
+        # the dataset has no noisy stack, so a late check would report that instead
+        ds = tmp_path / "ds"
+        sim_cfg = write_config(tmp_path / "sim.yaml", sim=dict(SIM_SECTION, noise=False))
+        assert main_quietly(["simulate", "--config", sim_cfg, "--out", str(ds),
+                             "--workers", "1"]) == (0, "")
+        solver = dict(SOLVER_SECTION, init="zeros", data="noisy")
+        cfg = write_config(tmp_path / "c.yaml", solver=solver)
+        code, err = main_quietly(["reconstruct", "--config", cfg, "--dataset", str(ds),
+                                  "--out", str(tmp_path / "run"), "--workers", "1"])
+        assert (code, err) == (2, "error: config key 'solver.init' has invalid value 'zeros' "
+                                  "(one of: ones, random)\n")
+        assert opened == []
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_reads_its_stack_once_for_all_runs(self, tmp_path, dataset_dir, opened):
         solver = dict(SOLVER_SECTION, data="noisy", iterations=2)
@@ -717,12 +735,35 @@ class TestSweep:
         assert capsys.readouterr().err == "error: alpha must be finite and nonnegative\n"
         assert not out.exists()
 
-    def test_failed_first_run_leaves_no_output(self, tmp_path, dataset_dir):
-        code, out = self.run(
-            tmp_path, dataset_dir, ["--param", "alpha", "--values", "0.1,0.2"], {"init": "zeros"}
-        )
-        assert code == 2
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_first_run_leaves_no_output(self, tmp_path, dataset_dir, monkeypatch):
+        monkeypatch.setattr(pk.pmace, "agent_update", nan_agent_update(pk.pmace.agent_update))
+        code, out = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", "0.1,0.2"])
+        assert code == 3
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_second_run_keeps_the_first_and_writes_no_sweep_files(
+        self, tmp_path, dataset_dir, capsys, monkeypatch
+    ):
+        original = pk.pmace.mann_iterate
+        solves = []
+
+        def second_solve_diverges(*args, **kwargs):
+            solves.append(kwargs)
+            if len(solves) == 2:
+                monkeypatch.setattr(pk.pmace, "agent_update",
+                                    nan_agent_update(pk.pmace.agent_update))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pk.pmace, "mann_iterate", second_solve_diverges)
+        code, out = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", "0.1,0.2"])
+        assert code == 3 and len(solves) == 2
+        assert capsys.readouterr().err == "error: non-finite values in iterate at iteration 1\n"
+        assert [p.name for p in out.iterdir()] == ["alpha_0.1"]
+        assert sorted(p.name for p in (out / "alpha_0.1").iterdir()) == [
+            "recon.cfld", "summary.json", "trace.csv"]
+        assert json.loads((out / "alpha_0.1" / "summary.json").read_text())["solver"]["alpha"] == 0.1
 
     def test_empty_values_exit_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", ""])
@@ -823,6 +864,7 @@ class TestConfigErrors:
         ("image_shape", 5), ("grid_dims", [3]), ("spacing", 8.5), ("noise", "off"),
         ("image_shape", [48, 48.5]), ("probe_size", True), ("noise_seed", [9]),
         ("r_p", [1e5]), ("object_seed", -1), ("probe_seed", -1), ("noise_seed", -1),
+        ("spacing", -8), ("grid_dims", [3, -3]), ("image_shape", [-48, 48]),
     ])
     def test_sim_value_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, **{key: value}))
@@ -831,6 +873,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key 'sim.{key}'") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_sim_normalization_outside_its_modes_exits_2(self, tmp_path, capsys, noise):
+        # refused even with noise off, where the value would go unused
+        sim = dict(SIM_SECTION, noise=noise, normalization="bogus")
+        cfg = write_config(tmp_path / "c.yaml", sim=sim)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == ("error: config key 'sim.normalization' has invalid "
+                                           "value 'bogus' (one of: global-max, per-pattern-max)\n")
+        assert not out.exists()
+
+    def test_sim_rate_is_not_checked_with_noise_off(self, tmp_path):
+        # r_p's range is add_poisson_noise's own check, and with noise off nothing draws
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, noise=False, r_p=-1.0))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["r_p"] is None
 
     @pytest.mark.parametrize("r_p", [float("nan"), float("inf"), ABOVE_LAM_MAX])
     def test_sim_rate_outside_zero_to_inf_exits_2(self, tmp_path, capsys, r_p):

@@ -370,16 +370,22 @@ class TestDatasetIo:
         ds = pk.load_dataset(out)
         np.testing.assert_array_equal(ds.truth, small["truth"])
         np.testing.assert_array_equal(ds.probe, small["probe"])
-        np.testing.assert_array_equal(ds.clean, small["y"])
-        np.testing.assert_array_equal(ds.noisy, noisy.stack)
-        assert ds.scale_factor == noisy.scale_factor
+        clean, descale = ds.amplitudes(noisy=False)
+        np.testing.assert_array_equal(clean, small["y"])
+        assert descale == 1.0
+        stack, descale = ds.amplitudes(noisy=True)
+        np.testing.assert_array_equal(stack, noisy.stack)
+        assert descale == ds.scale_factor == noisy.scale_factor
         assert ds.grid.offsets == small["grid"].offsets
 
     def test_noise_free_dataset_has_no_noisy_files(self, tmp_path, small):
         out, _ = self._write(tmp_path, small, with_noise=False)
         assert not list(out.glob("yn_*.cfld"))
         ds = pk.load_dataset(out)
-        assert ds.noisy is None and ds.scale_factor == 1.0
+        assert ds.scale_factor == 1.0
+        message = f"noisy data requested, but dataset {out} was simulated without noise"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ds.amplitudes(noisy=True)
 
     def test_expected_files_present(self, tmp_path, small):
         out, _ = self._write(tmp_path, small, with_noise=True)
