@@ -88,12 +88,14 @@ def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
     probe_seed = _read(sec, "sim", "probe_seed", int, 1)
     noise = _read(sec, "sim", "noise", bool, False)
     r_p = _read(sec, "sim", "r_p", float, 1e5)
+    if noise:  # before any work; add_poisson_noise's scale-factor check needs the stack
+        sim.check_rate(r_p)
     normalization = _read(sec, "sim", "normalization", sim.NORMALIZATION_MODES, "global-max")
     noise_seed = _read(sec, "sim", "noise_seed", int, 0)
 
     grid = sim.make_scan_grid(image_shape, probe_size, grid_dims, spacing)
+    probe = sim.synth_probe(probe_size, probe_seed)  # first: it refuses a size below 8
     x = sim.synth_object(image_shape, object_seed)
-    probe = sim.synth_probe(probe_size, probe_seed)
     clean = sim.forward_amplitude(x, probe, grid, workers=workers)
     noisy = sim.add_poisson_noise(clean, r_p, noise_seed, mode=normalization) if noise else None
     params = {
@@ -126,16 +128,19 @@ def _cast(value, key: str, cast):
 
 
 def read_solver(cfg: dict):
-    """Read the solver section once into (params, settings).
+    """Read the solver section once into (params, solve, settings).
 
     ``params`` is the PmaceParams or SharpParams of the solver the section
     names, each value cast to the type of its field's default; keys of the
-    other solver are ignored. ``settings`` holds the solver name and the
-    run inputs: data, init and init_seed.
+    other solver are ignored. ``solve`` is that solver's iteration, looked
+    up on its module now, so a wrapper installed there beforehand applies.
+    ``settings`` holds the solver name and the run inputs: data, init and
+    init_seed.
     """
     sec = _section(cfg, "solver")
     name = _read(sec, "solver", "name", ("pmace", *sharp.VARIANTS))
-    params = pmace.PmaceParams() if name == "pmace" else sharp.SharpParams(variant=name)
+    params, solve = ((pmace.PmaceParams(), pmace.mann_iterate) if name == "pmace"
+                     else (sharp.SharpParams(variant=name), sharp.sharp_iterate))
     given = {}
     for field in dataclasses.fields(params):
         key = "iterations" if field.name == "max_iters" else field.name
@@ -144,38 +149,11 @@ def read_solver(cfg: dict):
     settings = {"name": name, "data": _read(sec, "solver", "data", ("clean", "noisy"), "clean"),
                 "init": _read(sec, "solver", "init", ("ones", "random"), "ones"),
                 "init_seed": _read(sec, "solver", "init_seed", int, 0)}
-    return dataclasses.replace(params, **given), settings
+    return dataclasses.replace(params, **given), solve, settings
 
 
 def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _run(params, settings: dict, dataset_path, dataset: sim.Dataset, y, descale: float,
-         workers: int, run_dir: Path):
-    """Solve from the amplitude stack ``y`` and write recon.cfld, trace.csv and
-    summary.json into ``run_dir``; return (final NRMSE, seconds)."""
-    t0 = time.perf_counter()
-    init = make_init(settings["init"], dataset.grid.image_shape, settings["init_seed"])
-    # looked up at call time, so a wrapper installed on the module applies
-    iterate = pmace.mann_iterate if isinstance(params, pmace.PmaceParams) else sharp.sharp_iterate
-    recon, trace = iterate(
-        y, dataset.probe, dataset.grid, params, init,
-        trace_target=dataset.truth, descale=descale, workers=workers,
-    )
-    wall = time.perf_counter() - t0
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_cfld(run_dir / "recon.cfld", recon)
-    write_trace_csv(run_dir / "trace.csv", trace)
-    _write_json(run_dir / "summary.json", {
-        "solver": dict(settings, **dataclasses.asdict(params)),
-        "dataset": str(dataset_path),
-        "iterations": params.max_iters,
-        "final_nrmse": trace[-1][1],
-        "wall_seconds": wall,
-        "workers": workers,
-    })
-    return trace[-1][1], wall
 
 
 def cmd_solve(cfg: dict, dataset_path, out_dir, workers: int, param=None, values=None) -> int:
@@ -184,9 +162,10 @@ def cmd_solve(cfg: dict, dataset_path, out_dir, workers: int, param=None, values
     ``reconstruct`` is one run, written into ``out_dir`` itself. ``sweep``
     sets ``param`` to each of the comma-separated ``values``, one run per
     value in ``out_dir/<param>_<value:g>``, and then writes sweep.csv and
-    sweep_summary.json. Every run is checked before the dataset is read.
+    sweep_summary.json. Every run is checked before the dataset is read;
+    the stack and the starting image are then made once for all runs.
     """
-    base, settings = read_solver(cfg)
+    base, solve, settings = read_solver(cfg)
     runs = {"": base}
     if param is not None:
         if param not in {field.name for field in dataclasses.fields(base)}:
@@ -207,12 +186,23 @@ def cmd_solve(cfg: dict, dataset_path, out_dir, workers: int, param=None, values
                 )
             runs[name] = dataclasses.replace(base, **{param: value})
     dataset = sim.load_dataset(dataset_path)
-    # the stack solver.data names, read now and once for all runs
     y, descale = dataset.amplitudes(noisy=settings["data"] == "noisy")
+    init = make_init(settings["init"], dataset.grid.image_shape, settings["init_seed"])
     out = Path(out_dir)
     rows = []
     for name, params in runs.items():
-        final, wall = _run(params, settings, dataset_path, dataset, y, descale, workers, out / name)
+        t0 = time.perf_counter()
+        recon, trace = solve(y, dataset.probe, dataset.grid, params, init,
+                             trace_target=dataset.truth, descale=descale, workers=workers)
+        wall, final = time.perf_counter() - t0, trace[-1][1]
+        (out / name).mkdir(parents=True, exist_ok=True)
+        write_cfld(out / name / "recon.cfld", recon)
+        write_trace_csv(out / name / "trace.csv", trace)
+        _write_json(out / name / "summary.json", {
+            "solver": dict(settings, **dataclasses.asdict(params)),
+            "dataset": str(dataset_path), "iterations": params.max_iters,
+            "final_nrmse": final, "wall_seconds": wall, "workers": workers,
+        })
         rows.append((getattr(params, param) if param else None, final, wall))
         print(f"final NRMSE {final:.6e} after {params.max_iters} iterations "
               f"({wall:.2f}s); artifacts in {out / name}")

@@ -167,6 +167,13 @@ class NoisyAmplitudes:
     scale_factor: float
 
 
+def check_rate(r_p: float) -> None:
+    """Refuse a peak photon rate outside 0 < r_p <= :data:`POISSON_LAM_MAX`."""
+    if not 0 < r_p <= POISSON_LAM_MAX:  # written so that NaN fails too
+        raise ValueError(f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
+                         f"(NumPy's Poisson limit), got {r_p!r}")
+
+
 def add_poisson_noise(
     clean: np.ndarray, r_p: float, seed: int, mode: str = "global-max"
 ) -> NoisyAmplitudes:
@@ -184,9 +191,7 @@ def add_poisson_noise(
     sqrt(r_p / max y^2) overflows to inf or underflows to 0 is refused
     before any draw.
     """
-    if not 0 < r_p <= POISSON_LAM_MAX:  # written so that NaN fails too
-        raise ValueError(f"peak photon rate r_p must satisfy 0 < r_p <= {POISSON_LAM_MAX!r} "
-                         f"(NumPy's Poisson limit), got {r_p!r}")
+    check_rate(r_p)
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
     y = np.asarray(clean, dtype=np.float64)
@@ -294,12 +299,13 @@ class Dataset:
         return stack, self.scale_factor if noisy else 1.0
 
 
-# The manifest keys load_dataset reads, each with the test its JSON value must pass.
+# The manifest keys load_dataset reads, each with the test its JSON value must pass:
+# a whole number is a JSON integer that is not negative (a bool is not one).
 _MANIFEST_KEYS = {
-    "image_shape": lambda v: type(v) is list and list(map(type, v)) == [int, int],
-    "probe_size": lambda v: type(v) is int,
-    "grid_dims": lambda v: type(v) is list and list(map(type, v)) == [int, int],
-    "spacing": lambda v: type(v) is int,
+    "image_shape": lambda v: type(v) is list and list(map(type, v)) == [int, int] and min(v) >= 0,
+    "probe_size": lambda v: type(v) is int and v >= 0,
+    "grid_dims": lambda v: type(v) is list and list(map(type, v)) == [int, int] and min(v) >= 0,
+    "spacing": lambda v: type(v) is int and v >= 0,
     "noise": lambda v: type(v) is bool,
     "scale_factor": lambda v: type(v) in (int, float) and 0 < v < np.inf,
 }

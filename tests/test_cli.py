@@ -109,6 +109,11 @@ def nan_agent_update(original):
     return poisoned
 
 
+def no_work(*args, **kwargs):
+    """Stands in for a step of the work that a refused command must never reach."""
+    raise AssertionError("the work ran")
+
+
 def write_config(path, sim=None, solver=None):
     cfg = {}
     if sim is not None:
@@ -765,6 +770,32 @@ class TestSweep:
             "recon.cfld", "summary.json", "trace.csv"]
         assert json.loads((out / "alpha_0.1" / "summary.json").read_text())["solver"]["alpha"] == 0.1
 
+    def test_three_value_sweep_sets_up_once(self, tmp_path, dataset_dir, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(pk.cli, "make_init")
+        counted(pk.sim, "load_dataset")
+        code, out = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", "0.1,0.2,0.3"],
+                             {"init": "random"})
+        assert code == 0 and len((out / "sweep.csv").read_text().splitlines()) == 4
+        assert sorted(calls) == ["load_dataset", "make_init"]
+        # the runs share one starting image, and the solves leave it as it was
+        cfg = write_config(tmp_path / "r.yaml", solver=dict(SOLVER_SECTION, iterations=10,
+                                                           init="random", alpha=0.3))
+        assert main_quietly(["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+                             "--out", str(tmp_path / "run"), "--workers", "1"]) == (0, "")
+        assert ((out / "alpha_0.3" / "recon.cfld").read_bytes()
+                == (tmp_path / "run" / "recon.cfld").read_bytes())
+
     def test_empty_values_exit_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", ""])
         assert code == 2
@@ -892,13 +923,23 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
         assert json.loads((out / "manifest.json").read_text())["r_p"] is None
 
-    @pytest.mark.parametrize("r_p", [float("nan"), float("inf"), ABOVE_LAM_MAX])
-    def test_sim_rate_outside_zero_to_inf_exits_2(self, tmp_path, capsys, r_p):
+    @pytest.mark.parametrize("r_p", [float("nan"), float("inf"), ABOVE_LAM_MAX, -1.0, 0.0])
+    def test_sim_rate_outside_zero_to_inf_exits_2(self, tmp_path, capsys, monkeypatch, r_p):
+        # refused where it is read, before any simulation work
+        monkeypatch.setattr(pk.sim, "synth_object", no_work)
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, r_p=r_p))
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {RATE_RANGE}, got {r_p!r}\n"
+        assert not out.exists()
+
+    def test_probe_smaller_than_8_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pk.sim, "synth_object", no_work)
+        cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, probe_size=4))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == "error: probe size must be at least 8\n"
         assert not out.exists()
 
     def test_sim_rate_whose_scale_factor_underflows_exits_2(self, tmp_path, capsys):
@@ -933,7 +974,7 @@ class TestConfigErrors:
         assert code in (0, 2)
         assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
 
-    @pytest.mark.parametrize("value", [DELETE, "8", 8.0, None])
+    @pytest.mark.parametrize("value", [DELETE, "8", 8.0, None, -14])
     def test_manifest_spacing_missing_or_mistyped_exits_2(
         self, tmp_path, dataset_dir, capsys, value
     ):
@@ -992,9 +1033,6 @@ class TestConfigErrors:
     def test_out_that_cannot_be_a_directory_exits_2_before_the_work(
         self, tmp_path, dataset_dir, capsys, monkeypatch, command, work, out
     ):
-        def no_work(*args, **kwargs):
-            raise AssertionError(f"{work} ran")
-
         monkeypatch.setattr(work, no_work)
         (tmp_path / "afile").write_text("kept")
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION), solver=dict(SOLVER_SECTION))

@@ -418,7 +418,8 @@ class TestDatasetIo:
     @pytest.mark.parametrize("key, value", [
         ("image_shape", [48]), ("image_shape", [48, 48.0]), ("probe_size", "16"),
         ("grid_dims", 3), ("spacing", "8"), ("spacing", True), ("noise", 1),
-        ("scale_factor", 0), ("scale_factor", [1.0]),
+        ("scale_factor", 0), ("scale_factor", [1.0]), ("spacing", -8), ("grid_dims", [3, -3]),
+        ("probe_size", -16), ("image_shape", [-48, 48]),
     ])
     def test_mistyped_manifest_key_rejected(self, tmp_path, small, key, value):
         out, _ = self._write(tmp_path, small, with_noise=True)
