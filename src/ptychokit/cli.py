@@ -51,21 +51,26 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a mapping of sections")
+    unread = [key for key in cfg if key not in ("sim", "solver")]
+    if unread:
+        raise ConfigError(f"config key '{unread[0]}' is not read by any command")
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name)
+def _read(cfg: dict, section: str, keys: dict, others=()) -> dict:
+    """``cfg[section]`` cast by :func:`_cast` through ``keys``, a ``{key: (cast, default)}``
+    table (a None default makes a key required); a key not in ``keys`` or ``others`` exits 2."""
+    sec = cfg.get(section)
     if not isinstance(sec, dict):
-        raise ConfigError(f"config is missing a '{name}' section")
-    return sec
-
-
-def _read(sec: dict, section: str, key: str, cast, default=None):
-    """``sec[key]`` through :func:`_cast`; a key without a default is required."""
-    if key not in sec and default is None:
-        raise ConfigError(f"config key '{section}.{key}' is required")
-    return _cast(sec.get(key, default), f"{section}.{key}", cast)
+        raise ConfigError(f"config is missing a '{section}' section")
+    unread = [key for key in sec if key not in keys and key not in others]
+    if unread:
+        raise ConfigError(f"config key '{section}.{unread[0]}' is not read by any command")
+    for key, (cast, default) in keys.items():
+        if key not in sec and default is None:
+            raise ConfigError(f"config key '{section}.{key}' is required")
+    return {key: _cast(sec.get(key, default), f"{section}.{key}", cast)
+            for key, (cast, default) in keys.items()}
 
 
 def make_init(mode: str, shape: tuple[int, int], seed: int) -> np.ndarray:
@@ -78,35 +83,32 @@ def make_init(mode: str, shape: tuple[int, int], seed: int) -> np.ndarray:
     return amp * np.exp(1j * pha)
 
 
-def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
-    sec = _section(cfg, "sim")
-    image_shape = _read(sec, "sim", "image_shape", tuple)
-    probe_size = _read(sec, "sim", "probe_size", int)
-    grid_dims = _read(sec, "sim", "grid_dims", tuple)
-    spacing = _read(sec, "sim", "spacing", int)
-    object_seed = _read(sec, "sim", "object_seed", int, 0)
-    probe_seed = _read(sec, "sim", "probe_seed", int, 1)
-    noise = _read(sec, "sim", "noise", bool, False)
-    r_p = _read(sec, "sim", "r_p", float, 1e5)
-    if noise:  # before any work; add_poisson_noise's scale-factor check needs the stack
-        sim.check_rate(r_p)
-    normalization = _read(sec, "sim", "normalization", sim.NORMALIZATION_MODES, "global-max")
-    noise_seed = _read(sec, "sim", "noise_seed", int, 0)
+SIM_KEYS = {"image_shape": (tuple, None), "probe_size": (int, None), "grid_dims": (tuple, None),
+            "spacing": (int, None), "object_seed": (int, 0), "probe_seed": (int, 1),
+            "noise": (bool, False), "r_p": (float, 1e5),
+            "normalization": (sim.NORMALIZATION_MODES, "global-max"), "noise_seed": (int, 0)}
 
-    grid = sim.make_scan_grid(image_shape, probe_size, grid_dims, spacing)
-    probe = sim.synth_probe(probe_size, probe_seed)  # first: it refuses a size below 8
-    x = sim.synth_object(image_shape, object_seed)
+
+def cmd_simulate(cfg: dict, out_dir, workers: int) -> int:
+    c = _read(cfg, "sim", SIM_KEYS)
+    if c["noise"]:  # before any work; add_poisson_noise's scale-factor check needs the stack
+        sim.check_rate(c["r_p"])
+    grid = sim.make_scan_grid(c["image_shape"], c["probe_size"], c["grid_dims"], c["spacing"])
+    probe = sim.synth_probe(c["probe_size"], c["probe_seed"])  # first: it refuses a size below 8
+    x = sim.synth_object(c["image_shape"], c["object_seed"])
     clean = sim.forward_amplitude(x, probe, grid, workers=workers)
-    noisy = sim.add_poisson_noise(clean, r_p, noise_seed, mode=normalization) if noise else None
+    noisy = (sim.add_poisson_noise(clean, c["r_p"], c["noise_seed"], mode=c["normalization"])
+             if c["noise"] else None)
     params = {
-        "grid_dims": grid_dims,
-        "spacing": spacing,
-        "seed": {"object": object_seed, "probe": probe_seed, "noise": noise_seed},
-        "r_p": r_p if noise else None,
-        "normalization": normalization if noise else None,
+        "grid_dims": c["grid_dims"],
+        "spacing": c["spacing"],
+        "seed": {"object": c["object_seed"], "probe": c["probe_seed"], "noise": c["noise_seed"]},
+        "r_p": c["r_p"] if c["noise"] else None,
+        "normalization": c["normalization"] if c["noise"] else None,
     }
     root = sim.write_dataset(out_dir, x, probe, grid, clean, noisy, params)
-    print(f"dataset written to {root} ({len(grid)} patterns, noise={'on' if noise else 'off'})")
+    print(f"dataset written to {root} ({len(grid)} patterns, "
+          f"noise={'on' if c['noise'] else 'off'})")
     return EXIT_OK
 
 
@@ -127,28 +129,26 @@ def _cast(value, key: str, cast):
         raise ConfigError(f"config key '{key}' has invalid value {value!r}{allowed}") from exc
 
 
-def read_solver(cfg: dict):
-    """Read the solver section once into (params, solve, settings).
+# The solver section: the run settings, then each solver's parameters as their defaults' types.
+RUN_KEYS = {"name": (("pmace", *sharp.VARIANTS), None), "data": (("clean", "noisy"), "clean"),
+            "init": (("ones", "random"), "ones"), "init_seed": (int, 0)}
+PARAM_KEYS = {  # max_iters is read as iterations, and variant is solver.name
+    cls: {("iterations" if f.name == "max_iters" else f.name): (type(f.default), f.default)
+          for f in dataclasses.fields(cls) if f.name != "variant"}
+    for cls in (pmace.PmaceParams, sharp.SharpParams)}
 
-    ``params`` is the PmaceParams or SharpParams of the solver the section
-    names, each value cast to the type of its field's default; keys of the
-    other solver are ignored. ``solve`` is that solver's iteration, looked
-    up on its module now, so a wrapper installed there beforehand applies.
-    ``settings`` holds the solver name and the run inputs: data, init and
-    init_seed.
-    """
-    sec = _section(cfg, "solver")
-    name = _read(sec, "solver", "name", ("pmace", *sharp.VARIANTS))
-    params, solve = ((pmace.PmaceParams(), pmace.mann_iterate) if name == "pmace"
-                     else (sharp.SharpParams(variant=name), sharp.sharp_iterate))
-    given = {}
-    for field in dataclasses.fields(params):
-        key = "iterations" if field.name == "max_iters" else field.name
-        if key in sec and field.name != "variant":
-            given[field.name] = _cast(sec[key], f"solver.{key}", type(field.default))
-    settings = {"name": name, "data": _read(sec, "solver", "data", ("clean", "noisy"), "clean"),
-                "init": _read(sec, "solver", "init", ("ones", "random"), "ones"),
-                "init_seed": _read(sec, "solver", "init_seed", int, 0)}
+
+def read_solver(cfg: dict):
+    """The solver section as (params, solve, settings): ``settings`` holds RUN_KEYS, ``params``
+    the PmaceParams or SharpParams of the solver ``name`` names (the other solver's keys are
+    allowed), and ``solve`` that solver's iteration, looked up on its module now, so that a
+    wrapper installed there beforehand applies."""
+    every_param = [key for keys in PARAM_KEYS.values() for key in keys]
+    settings = _read(cfg, "solver", RUN_KEYS, every_param)
+    params, solve = ((pmace.PmaceParams(), pmace.mann_iterate) if settings["name"] == "pmace"
+                     else (sharp.SharpParams(variant=settings["name"]), sharp.sharp_iterate))
+    given = _read(cfg, "solver", PARAM_KEYS[type(params)], [*RUN_KEYS, *every_param])
+    given["max_iters"] = given.pop("iterations")
     return dataclasses.replace(params, **given), solve, settings
 
 

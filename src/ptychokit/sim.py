@@ -43,8 +43,11 @@ def make_scan_grid(
     :param image_shape: (N1, N2) image dimensions.
     :param probe_size: patch side length N_p.
     :param grid_dims: (rows, cols) of probe positions.
-    :param spacing: pixel step between adjacent positions.
+    :param spacing: pixel step between adjacent positions (0 only for one position).
     """
+    if spacing < 0 or (spacing == 0 and grid_dims[0] * grid_dims[1] > 1):
+        raise ValueError(f"spacing must be positive, or 0 for a single position; got "
+                         f"{spacing} for a {grid_dims[0]}x{grid_dims[1]} grid")
     span_r = (grid_dims[0] - 1) * spacing + probe_size
     span_c = (grid_dims[1] - 1) * spacing + probe_size
     if span_r > image_shape[0] or span_c > image_shape[1]:
@@ -243,10 +246,10 @@ def write_dataset(
     write_cfld(out / TRUTH_NAME, x)
     write_cfld(out / PROBE_NAME, probe)
     for j in range(len(grid)):
-        write_cfld(out / _amplitude_name(j, False), clean[j].astype(np.complex128))
+        write_cfld(out / _amplitude_name(j, False), clean[j])
     if noisy is not None:
         for j in range(len(grid)):
-            write_cfld(out / _amplitude_name(j, True), noisy.stack[j].astype(np.complex128))
+            write_cfld(out / _amplitude_name(j, True), noisy.stack[j])
     manifest = {
         "image_shape": list(grid.image_shape),
         "probe_size": grid.patch_size,

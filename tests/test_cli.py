@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ptychokit as pk
@@ -54,6 +54,10 @@ SOLVER_SECTION = {
 
 SOLVER_KEYS = ("name", "alpha", "rho", "kappa", "beta", "iterations", "eval_every",
                "init", "init_seed", "data")
+# Key names for keys no command reads, once the names some command reads are set aside;
+# line breaks are left out, so each name fits on the one stderr line that refuses it.
+UNREAD_KEYS = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+                      min_size=1, max_size=8)
 
 
 def any_value(numbers=st.integers() | st.floats(), text=st.text(max_size=6), ints=st.integers()):
@@ -293,6 +297,25 @@ class TestReconstruct:
         solver = json.loads((out / "summary.json").read_text())["solver"]
         assert solver["beta"] == 0.3 and solver["variant"] == "sharp"
         assert not {"alpha", "rho", "kappa"} & solver.keys()
+
+    @pytest.mark.parametrize("own, others", [
+        ({"name": "pmace", "alpha": 0.1}, {"beta": 0.3}),
+        ({"name": "sharp", "beta": 0.45}, {"alpha": 0.7, "rho": 0.2, "kappa": 3.0}),
+    ])
+    def test_other_solvers_keys_do_not_change_the_bytes(self, tmp_path, dataset_dir, own,
+                                                        others):
+        def artifacts(label, solver):
+            cfg = write_config(tmp_path / f"{label}.yaml", solver=solver)
+            out = tmp_path / label
+            assert main(["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+                         "--out", str(out), "--workers", "1"]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["wall_seconds"]
+            return (summary, (out / "recon.cfld").read_bytes(),
+                    trace_bytes_without_seconds(out / "trace.csv"))
+
+        own = dict(own, iterations=5, data="noisy")
+        assert artifacts("both", dict(own, **others)) == artifacts("own", own)
 
     def test_unknown_solver_exits_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, {"name": "awf"})
@@ -843,6 +866,60 @@ class TestConfigErrors:
         sim = dict(SIM_SECTION, spacing=40)
         cfg = write_config(tmp_path / "c.yaml", sim=sim)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["simulate", "reconstruct", "sweep"]),
+           name=st.sampled_from(["pmace", "sharp"]), at_top=st.booleans(), key=UNREAD_KEYS,
+           value=any_value())
+    @example(command="reconstruct", name="pmace", at_top=False, key="alpah", value=0.5)
+    @example(command="reconstruct", name="pmace", at_top=False, key="max_iters", value=2)
+    @example(command="sweep", name="sharp", at_top=False, key="variant", value="sharp")
+    @example(command="simulate", name="pmace", at_top=False, key="noise_sed", value=5)
+    @example(command="simulate", name="pmace", at_top=True, key="workers", value=1)
+    @example(command="reconstruct", name="pmace", at_top=True, key="workers", value=1)
+    def test_key_that_no_command_reads_exits_2_before_the_work(
+        self, dataset_dir, command, name, at_top, key, value
+    ):
+        section = "sim" if command == "simulate" else "solver"
+        read = {"sim": SIM_SECTION, "solver": SOLVER_KEYS}[section]
+        assume(key not in (("sim", "solver") if at_top else read))
+        cfg = {"sim": dict(SIM_SECTION),
+               "solver": dict(SOLVER_SECTION, name=name, beta=0.45, iterations=2)}
+        (cfg if at_top else cfg[section])[key] = value
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for work in (*WORK, "ptychokit.sim.make_scan_grid", "ptychokit.sim.synth_probe"):
+                mp.setattr(work, no_work)
+            config, out = Path(tmp) / "c.yaml", Path(tmp) / "o"
+            config.write_text(yaml.safe_dump(cfg))
+            argv = [command, "--config", str(config), "--out", str(out), "--workers", "1"]
+            if command != "simulate":
+                argv += ["--dataset", str(dataset_dir)]
+            if command == "sweep":
+                argv += ["--param", "alpha" if name == "pmace" else "beta", "--values", "0.1,0.2"]
+            code, err = main_quietly(argv)
+            assert not out.exists()
+        named = key if at_top else f"{section}.{key}"
+        assert (code, err) == (2, f"error: config key '{named}' is not read by any command\n")
+
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_zero_spacing_on_a_grid_of_many_positions_exits_2(
+        self, tmp_path, dataset_dir, capsys, monkeypatch, source
+    ):
+        if source == "config":
+            monkeypatch.setattr(pk.sim, "synth_probe", no_work)
+            cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, spacing=0))
+            argv = ["simulate", "--config", cfg]
+        else:
+            data = tmp_path / "ds"
+            shutil.copytree(dataset_dir, data)
+            manifest = json.loads((data / "manifest.json").read_text())
+            (data / "manifest.json").write_text(json.dumps(dict(manifest, spacing=0)))
+            cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
+            argv = ["reconstruct", "--config", cfg, "--dataset", str(data)]
+        assert main([*argv, "--out", str(tmp_path / "o"), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spacing ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_no_output_location_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION))

@@ -84,6 +84,20 @@ class TestScanGridGeometry:
         with pytest.raises(ValueError):
             pk.make_scan_grid((48, 48), 16, (3, 3), 17)
 
+    @pytest.mark.parametrize("grid_dims, spacing", [
+        ((3, 3), -14), ((1, 1), -1), ((3, 3), 0), ((1, 2), 0),
+    ])
+    def test_negative_or_zero_spacing_refused_before_the_grid_is_built(
+        self, monkeypatch, grid_dims, spacing
+    ):
+        # a negative step mirrors the raster; a zero one repeats one offset for every position
+        monkeypatch.setattr(pk.sim, "ScanGrid", lambda *args, **kwargs: pytest.fail("built"))
+        with pytest.raises(ValueError, match=f"^spacing must be positive, .* got {spacing} "):
+            pk.make_scan_grid((48, 48), 16, grid_dims, spacing)
+
+    def test_single_position_keeps_zero_spacing(self):
+        assert pk.make_scan_grid((48, 48), 16, (1, 1), 0).offsets == ((16, 16),)
+
     def test_exact_fit_accepted(self):
         grid = pk.make_scan_grid((48, 48), 16, (3, 3), 16)
         assert grid.offsets[0] == (0, 0)
