@@ -189,33 +189,18 @@ def build_coverage(probe: np.ndarray, grid: ScanGrid, kappa: float) -> np.ndarra
     return accumulate_stack(np.broadcast_to(wk, (len(grid), *wk.shape)), grid, out=coverage)
 
 
-def divide_where_covered(
-    image: np.ndarray, coverage: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Pixelwise image / coverage where coverage > 0, 0 elsewhere.
-
-    ``out`` may be ``image`` itself.
-    """
-    if out is None:
-        out = np.empty_like(image)
-    covered = coverage > 0
-    np.divide(image, coverage, out=out, where=covered)
-    out[~covered] = 0
-    return out
-
-
 def write_cfld(path, arr: np.ndarray) -> None:
     """Write a 2D complex field in the CFLD binary format.
 
     Layout: magic "CFLD", version u32, rows u64, cols u64, then rows*cols
     little-endian float64 (real, imag) pairs in row-major order.
     """
-    a = np.ascontiguousarray(arr, dtype=np.complex128)
+    a = np.ascontiguousarray(arr, dtype="<c16")
     if a.ndim != 2:
         raise ValueError(f"CFLD stores 2D fields, got shape {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(_CFLD_HEADER.pack(CFLD_MAGIC, CFLD_VERSION, a.shape[0], a.shape[1]))
-        fh.write(a.astype("<c16").tobytes())
+        fh.write(a)
 
 
 def read_cfld(path) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 import numpy as np
 
 from .fields import (
@@ -26,7 +27,6 @@ from .fields import (
     accumulate_stack,
     amplitude_power,
     build_coverage,
-    divide_where_covered,
     extract_stack,
     fft2_orthonormal,
     frame_blocks,
@@ -145,6 +145,12 @@ class Coupling:
     coverage: np.ndarray
     illumination: np.ndarray | None = None
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """1/coverage on the covered region and +0 off it, built on first use."""
+        return np.divide(1.0, self.coverage, out=np.zeros_like(self.coverage),
+                         where=self.coverage > 0)
+
 
 def pmace_coupling(probe: np.ndarray, grid: ScanGrid, kappa: float) -> Coupling:
     """PMACE's consensus G: weights |d|^kappa, their coverage, no re-illumination."""
@@ -154,12 +160,14 @@ def pmace_coupling(probe: np.ndarray, grid: ScanGrid, kappa: float) -> Coupling:
 def stitch_weighted(
     stack: np.ndarray, coupling: Coupling, grid: ScanGrid, out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The image a (J, N_p, N_p) stack couples to; uncovered pixels are 0.
+    """The image a (J, N_p, N_p) stack couples to: the weighted scatter-add
+    times the coupling's inverse coverage. Uncovered pixels are 0 unless a
+    weighted frame value is not finite, which leaves NaN there (0 * inf).
 
     :param out: complex128 image to write the result into.
     """
     image = accumulate_stack(stack, grid, weight=coupling.weight, out=out)
-    return divide_where_covered(image, coupling.coverage, out=image)
+    return np.multiply(image, coupling.inverse, out=image)
 
 
 def consensus(
@@ -201,12 +209,14 @@ def iterate_stack(
     an iteration runs ``step(s[k], a, y[k])``, which leaves the coupling's
     input in the thread's block buffer a and the rest of the update in s[k].
     Each buffer is weighted in place and stitched into the image in block
-    order. The image is divided by the coverage and, unless ``gain`` is None,
-    multiplied by it once; each block then adds ``couple(image, coupling,
-    block_grid, out=a)`` to s[k] and runs the NaN guard. Blocks run on
-    min(workers, blocks) threads; the image is summed in frame order, so
-    results do not depend on ``workers``. ``stitch(s, coupling, grid,
-    out=image)`` gives the result and the image whose NRMSE is traced.
+    order. The image is multiplied by the coupling's inverse coverage (a
+    non-finite weighted value leaves NaN on uncovered pixels too) and,
+    unless ``gain`` is None, by ``gain`` once; each block then adds
+    ``couple(image, coupling, block_grid, out=a)`` to s[k] and runs the NaN
+    guard. Blocks run on min(workers, blocks) threads; the image is summed
+    in frame order, so results do not depend on ``workers``. ``stitch(s,
+    coupling, grid, out=image)`` gives the result and the image whose NRMSE
+    is traced.
     """
     s = couple(init, coupling, grid)
     image = np.empty(grid.image_shape, dtype=np.complex128)
@@ -248,7 +258,7 @@ def iterate_stack(
             turns = [threading.Event() for _ in range(len(blocks) + 1)]
             turns[0].set()
             list(run(step_block, blocks, grids, turns, turns[1:]))
-            divide_where_covered(image, coupling.coverage, out=image)
+            np.multiply(image, coupling.inverse, out=image)
             if gain is not None:
                 np.multiply(gain, image, out=image)
             if not all(list(run(read_back_block, blocks, grids))):

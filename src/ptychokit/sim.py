@@ -343,5 +343,9 @@ def load_dataset(path) -> Dataset:
     if probe.shape != (n, n):
         raise ValueError(f"{root / PROBE_NAME}: shape {list(probe.shape)} does not match "
                          f"manifest probe_size {n}")
-    grid = make_scan_grid(truth.shape, n, tuple(manifest["grid_dims"]), manifest["spacing"])
+    # the grid comes after the files: their checked shapes bound its offsets
+    try:
+        grid = make_scan_grid(truth.shape, n, tuple(manifest["grid_dims"]), manifest["spacing"])
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     return Dataset(root, truth, probe, grid, manifest["noise"], float(manifest["scale_factor"]))

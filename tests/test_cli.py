@@ -138,6 +138,15 @@ def dataset_dir(tmp_path_factory):
     return out
 
 
+def manifest_with_spacing(tmp_path, dataset_dir, spacing):
+    """A copy of the dataset whose manifest holds ``spacing``; return its path."""
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps(dict(manifest, spacing=spacing)))
+    return data
+
+
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
@@ -909,16 +918,28 @@ class TestConfigErrors:
             monkeypatch.setattr(pk.sim, "synth_probe", no_work)
             cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, spacing=0))
             argv = ["simulate", "--config", cfg]
+            prefix = "error: spacing "
         else:
-            data = tmp_path / "ds"
-            shutil.copytree(dataset_dir, data)
-            manifest = json.loads((data / "manifest.json").read_text())
-            (data / "manifest.json").write_text(json.dumps(dict(manifest, spacing=0)))
+            data = manifest_with_spacing(tmp_path, dataset_dir, 0)
             cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
             argv = ["reconstruct", "--config", cfg, "--dataset", str(data)]
+            prefix = f"error: {data / 'manifest.json'}: spacing "
         assert main([*argv, "--out", str(tmp_path / "o"), "--workers", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: spacing ") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_spacing_past_the_image_names_the_manifest(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        data = manifest_with_spacing(tmp_path, dataset_dir, 40)
+        cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
+        argv = ["reconstruct", "--config", cfg, "--dataset", str(data), "--out",
+                str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'manifest.json'}: 3x3 grid with spacing 40 and patch 16 "
+            "spans 96x96, exceeding 48x48\n")
         assert not (tmp_path / "o").exists()
 
     def test_no_output_location_exits_2(self, tmp_path):

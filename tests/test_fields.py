@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from ptychokit.fields import (
     accumulate_stack,
     amplitude_power,
     build_coverage,
-    divide_where_covered,
     extract_stack,
     fft2_orthonormal,
     ifft2_orthonormal,
     read_cfld,
     write_cfld,
 )
+from ptychokit.pmace import pmace_coupling
 
 
 def direct_dft2(f: np.ndarray) -> np.ndarray:
@@ -288,12 +289,13 @@ class TestCoverage:
         with pytest.raises(ValueError):
             build_coverage(np.ones((2, 2), complex), grid, -1.0)
 
-    def test_divide_where_covered(self):
+    def test_coupling_inverse_is_the_reciprocal_where_covered(self):
         probe = np.array([[0, 1], [2, 0]], dtype=complex)
         grid = ScanGrid(offsets=((0, 0),), patch_size=2, image_shape=(2, 2))
-        cov = build_coverage(probe, grid, 1.0)
-        out = divide_where_covered(np.full((2, 2), 6.0 + 0j), cov)
-        np.testing.assert_allclose(out, [[0, 6], [3, 0]])
+        inverse = pmace_coupling(probe, grid, 1.0).inverse
+        assert inverse.tobytes() == np.array([[0.0, 1.0], [0.5, 0.0]]).tobytes()
+        out = np.multiply(np.full((2, 2), 6.0 + 0j), inverse)
+        np.testing.assert_array_equal(out, [[0, 6], [3, 0]])
 
 
 class TestCfldFormat:
@@ -312,6 +314,27 @@ class TestCfldFormat:
         assert int.from_bytes(raw[8:16], "little") == 2
         assert int.from_bytes(raw[16:24], "little") == 3
         assert len(raw) == 24 + 2 * 3 * 16
+
+    @pytest.mark.parametrize("dtype, conversions", [(np.complex128, 0), (np.float64, 1)])
+    def test_writes_from_at_most_one_conversion(self, tmp_path, dtype, conversions):
+        # the payload is the array's own buffer, so a complex128 field is not
+        # copied and a real frame is converted once (512² complex is 4 MiB)
+        field = np.random.default_rng(0).standard_normal((512, 512)).astype(dtype)
+        path = tmp_path / "f.cfld"
+        tracemalloc.start()
+        try:
+            write_cfld(path, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (conversions + 0.25) * field.size * 16
+        assert path.read_bytes()[24:] == field.astype("<c16").tobytes()
+
+    @pytest.mark.parametrize("view", [lambda f: f[:, ::2], lambda f: f.astype(">c16")])
+    def test_strided_and_big_endian_fields_write_little_endian_payload(self, tmp_path, view):
+        field = view(random_field((4, 6), seed=5))
+        write_cfld(tmp_path / "f.cfld", field)
+        assert (tmp_path / "f.cfld").read_bytes()[24:] == field.astype("<c16").tobytes()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "f.cfld"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ptychokit as pk
-from ptychokit.fields import accumulate_stack, divide_where_covered, extract_stack, scatter_add
+from ptychokit.fields import accumulate_stack, extract_stack, scatter_add
 from ptychokit.pmace import (
     agent_update,
     consensus,
@@ -148,6 +148,11 @@ def phase_factor_by_division(z):
     return out
 
 
+def divide_where_covered(image, coverage):
+    """image / coverage on the covered region and +0 off it."""
+    return np.divide(image, coverage, out=np.zeros_like(image), where=coverage > 0)
+
+
 def agent_update_by_division(x, y, probe, alpha):
     out = probe * x
     p_a(out, y, out=out)
@@ -241,7 +246,7 @@ def test_couplings_streamed_block_by_block_have_the_whole_stack_bits(p, frames, 
         image = np.zeros(grid.image_shape, dtype=np.complex128)
         for k, g in zip(blocks, grids):
             scatter_add(stack[k], g, coupling.weight, image)
-        divide_where_covered(image, coupling.coverage, out=image)
+        np.multiply(image, coupling.inverse, out=image)
         streamed = np.concatenate([couple(image, coupling, g) for g in grids])
         assert streamed.tobytes() == whole.tobytes()
         if gain is not None:
@@ -269,6 +274,38 @@ def test_couplings_hold_the_bytes_of_the_probe_weights(p, kappa):
     same(sh.weight, np.conj(probe))
     same(sh.illumination, probe)
     same(sh.coverage, cov2)
+    for coupling, coverage in ((pm, cov), (sh, cov2)):
+        # 1/coverage where covered, +0 elsewhere, built once per coupling
+        expected = np.divide(1, coverage, out=np.zeros_like(coverage), where=coverage > 0)
+        same(coupling.inverse, expected)
+        assert coupling.inverse is coupling.inverse
+
+
+@st.composite
+def signed_zero_problems(draw):
+    """A problem whose stack has parts of either zero sign and whose probe has dark pixels."""
+    p = draw(problems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack, probe = p["stack"].copy(), p["probe"].copy()
+    for part in (stack.real, stack.imag):
+        part[rng.random(stack.shape) < 0.1] = -0.0
+        part[rng.random(stack.shape) < 0.1] = 0.0
+    probe[rng.random(probe.shape) < 0.2] = 0
+    return p["grid"], probe, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_zero_problems())
+def test_stitch_has_the_bytes_of_the_division_where_covered(problem):
+    # the product with 1/coverage replaced a where-divide; a scatter-add into
+    # a +0 fill makes no -0, so not even the sign of a zero may differ
+    grid, probe, stack = problem
+    for coupling, weight, kappa in ((pk.pmace_coupling(probe, grid, 1.25),
+                                     pk.amplitude_power(probe, 1.25), 1.25),
+                                    (pk.sharp_coupling(probe, grid), np.conj(probe), 2.0)):
+        expected = divide_where_covered(accumulate_stack(stack, grid, weight=weight),
+                                        pk.build_coverage(probe, grid, kappa))
+        assert stitch_weighted(stack, coupling, grid).tobytes() == expected.tobytes()
 
 
 def p_a_by_copy(frames, y):

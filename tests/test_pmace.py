@@ -6,7 +6,6 @@ from ptychokit.fields import (
     NumericalFailure,
     accumulate_stack,
     build_coverage,
-    divide_where_covered,
     extract_stack,
     fft2_orthonormal,
     ifft2_orthonormal,
@@ -155,6 +154,18 @@ class TestConsensus:
         )
         assert np.all(image[~small["mask"]] == 0)
 
+    def test_non_finite_frame_value_stays_nan_on_an_uncovered_pixel(self):
+        # weight 0 times inf is NaN, and the product with the inverse coverage
+        # keeps it, so the NaN guard sees it rather than a 0
+        grid = pk.ScanGrid(offsets=((0, 0),), patch_size=2, image_shape=(2, 2))
+        coupling = pmace_coupling(np.array([[0, 1], [2, 0]], dtype=complex), grid, 1.0)
+        stack = np.full((1, 2, 2), 6.0 + 0j)
+        stack[0, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            image = stitch_weighted(stack, coupling, grid)
+        assert np.isnan(image[0, 0])
+        np.testing.assert_array_equal(image.ravel()[1:], [6, 6, 0])
+
 
 class TestMannIterate:
     def test_ground_truth_is_fixed_point_of_reflected_map(self):
@@ -300,7 +311,8 @@ class TestMannIterate:
         dinv = regularized_reciprocal(d)
 
         def stitch(stack):
-            return divide_where_covered(accumulate_stack(wk[None, :, :] * stack, grid), cov)
+            return np.divide(accumulate_stack(wk[None, :, :] * stack, grid), cov,
+                             out=np.zeros(grid.image_shape, complex), where=cov > 0)
 
         def phase(z):
             az = np.abs(z)

@@ -1,13 +1,18 @@
-"""The README's code and config blocks run as written against the package."""
+"""The README's code and config blocks, and the dataset and CLI demos, run as
+written against the package."""
 
 import contextlib
 import io
 import re
+import runpy
 from pathlib import Path
+
+import pytest
 
 from ptychokit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEMOS = README.parent / "demos"
 
 
 def test_quick_start_block_runs(capsys):
@@ -32,3 +37,19 @@ def test_example_config_simulates_and_reconstructs(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert main([*argv, "--workers", "2"]) == 0, err.getvalue()
     assert (tmp_path / "run" / "recon.cfld").exists()
+
+
+# demo -> the last file it writes; 02 and 03 are library solves, which the
+# quick-start test already runs
+DEMO_OUTPUTS = {
+    "01_simulate_and_inspect.py": "demo_output/dataset/manifest.json",
+    "04_cli_pipeline.py": "demo_output/pipeline/alpha_sweep/sweep.csv",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_OUTPUTS))
+def test_demo_runs_to_the_end(tmp_path, monkeypatch, capsys, demo):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert (tmp_path / DEMO_OUTPUTS[demo]).is_file()
+    assert capsys.readouterr().out
