@@ -227,7 +227,7 @@ def cmd_evaluate(recon_path, dataset_path) -> int:
             f"reconstruction shape {recon.shape} does not match "
             f"ground truth {dataset.truth.shape}"
         )
-    covered = build_coverage(dataset.probe, dataset.grid, 1.25) > 0
+    covered = build_coverage(dataset.probe, dataset.grid, 0) > 0
     err = nrmse_phase_aligned(recon, dataset.truth, covered)
     print(f"{err!r}")
     return EXIT_OK

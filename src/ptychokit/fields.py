@@ -171,17 +171,18 @@ def frame_blocks(frames: int, workers: int, frame_shape: tuple[int, ...]):
 def amplitude_power(probe: np.ndarray, kappa: float) -> np.ndarray:
     """Pointwise |probe|^kappa with 0^0 defined as 0.
 
-    The zero convention keeps uncovered pixels at weight zero for every
-    kappa, so the coverage normalizer vanishes exactly off the covered
-    region.
+    The zero convention keeps dark pixels at weight zero for every kappa;
+    at kappa = 0 every lit pixel weighs exactly 1, while for kappa > 0 a
+    faint lit pixel's weight can underflow to 0 too.
     """
     a = np.abs(probe)
     return np.where(a > 0, a**kappa, 0.0)
 
 
 def build_coverage(probe: np.ndarray, grid: ScanGrid, kappa: float) -> np.ndarray:
-    """The float64 image of |probe|^kappa scatter-added over all offsets: the
-    diagonal of the overlap normalizer, positive exactly on the covered region."""
+    """|probe|^kappa scatter-added over all offsets (float64): the overlap normalizer's
+    diagonal. At kappa = 0 it counts the offsets lighting each pixel, so ``> 0`` is the
+    covered region; for kappa > 0 a pixel lit only where |d|^kappa underflows reads 0."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     wk = amplitude_power(probe, kappa)

@@ -147,9 +147,9 @@ class Coupling:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """1/coverage on the covered region and +0 off it, built on first use."""
+        """1/coverage where the coverage is a normal float (so 1/coverage is finite), else +0."""
         return np.divide(1.0, self.coverage, out=np.zeros_like(self.coverage),
-                         where=self.coverage > 0)
+                         where=self.coverage >= np.finfo(np.float64).smallest_normal)
 
 
 def pmace_coupling(probe: np.ndarray, grid: ScanGrid, kappa: float) -> Coupling:
@@ -198,7 +198,7 @@ def check_solver_inputs(
 
 
 def iterate_stack(
-    step, couple, stitch, coupling: Coupling, gain, init: np.ndarray, y: np.ndarray,
+    step, couple, stitch, coupling: Coupling, gain, init: np.ndarray, y: np.ndarray, probe,
     grid: ScanGrid, params, trace_target: np.ndarray | None, descale: float, workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """The loop both solvers share: frame blocks, streamed coupling, trace and NaN guard.
@@ -216,8 +216,10 @@ def iterate_stack(
     guard. Blocks run on min(workers, blocks) threads; the image is summed
     in frame order, so results do not depend on ``workers``. ``stitch(s,
     coupling, grid, out=image)`` gives the result and the image whose NRMSE
-    is traced.
+    is traced over the lit pixels, ``build_coverage(probe, grid, 0) > 0``.
     """
+    covered = build_coverage(probe, grid, 0) > 0
+    target = None if trace_target is None else trace_target[covered]
     s = couple(init, coupling, grid)
     image = np.empty(grid.image_shape, dtype=np.complex128)
     start = time.perf_counter()
@@ -240,9 +242,6 @@ def iterate_stack(
 
     def descaled_image() -> np.ndarray:
         return np.multiply(stitch(s, coupling, grid, out=image), 1 / descale, out=image)
-
-    covered = coupling.coverage > 0
-    target = None if trace_target is None else trace_target[covered]
 
     def record(iteration: int) -> None:
         err = float("nan")
@@ -284,9 +283,9 @@ def mann_iterate(
     reconstruction is the weighted back-projection of the final v, divided
     by `descale` (the simulator's amplitude scale factor for noisy data; 1
     for noise-free data). The trace records phase-aligned NRMSE against
-    `trace_target` (after the same de-scaling) over the probe-covered region
-    every `eval_every` iterations plus iterations 0 and max_iters; without
-    a target the NRMSE column is NaN.
+    `trace_target` (after the same de-scaling) over the pixels the probe lights,
+    ``build_coverage(probe, grid, 0) > 0``, every `eval_every` iterations plus
+    iterations 0 and max_iters; without a target the NRMSE column is NaN.
 
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
@@ -299,6 +298,6 @@ def mann_iterate(
         np.subtract(v, t, out=v)
 
     return iterate_stack(
-        step, consensus, stitch_weighted, coupling, 2 * params.rho, init, y, grid, params,
-        trace_target, descale, workers,
+        step, consensus, stitch_weighted, coupling, 2 * params.rho, init, y, probe, grid,
+        params, trace_target, descale, workers,
     )

@@ -89,15 +89,15 @@ def sharp_iterate(
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """Run the selected SHARP variant and return (reconstruction, trace).
 
-    Frames start as s_j = probe * P_j(init). The reconstruction is the
-    weighted back-projection of the final frames divided by `descale`;
-    trace semantics match the PMACE solver (rows at iteration 0, every
-    `eval_every`, and max_iters; NRMSE against the de-scaled target).
+    Frames start as s_j = probe * P_j(init). The reconstruction is the weighted
+    back-projection of the final frames divided by `descale`; trace rows match
+    the PMACE solver (iteration 0, every `eval_every`, and max_iters; NRMSE
+    against the de-scaled target over ``build_coverage(probe, grid, 0) > 0``).
 
     Raises :class:`NumericalFailure` if an iterate stops being finite.
     """
     check_solver_inputs(y, probe, grid, init)
     return iterate_stack(
         block_step(params.beta, params.variant), p_q, stitch_frames, sharp_coupling(probe, grid),
-        None, init, y, grid, params, trace_target, descale, workers,
+        None, init, y, probe, grid, params, trace_target, descale, workers,
     )

@@ -35,7 +35,7 @@ def desk():
         "truth": x,
         "probe": probe,
         "y": y,
-        "mask": pk.build_coverage(probe, grid, 1.25) > 0,
+        "mask": pk.build_coverage(probe, grid, 0) > 0,
     }
 
 
@@ -52,7 +52,7 @@ def small():
         "truth": x,
         "probe": probe,
         "y": y,
-        "mask": pk.build_coverage(probe, grid, 1.25) > 0,
+        "mask": pk.build_coverage(probe, grid, 0) > 0,
     }
 
 

@@ -274,7 +274,7 @@ def test_criterion_06_rho_invariance(tmp_path):
     ) == 0
 
     dataset = pk.load_dataset(ds)
-    mask = pk.build_coverage(dataset.probe, dataset.grid, 1.25) > 0
+    mask = pk.build_coverage(dataset.probe, dataset.grid, 0) > 0
     rhos = (0.3, 0.5, 0.7)
     recons = {r: pk.read_cfld(out / f"rho_{r:g}" / "recon.cfld") for r in rhos}
     finals = {

@@ -599,6 +599,24 @@ class TestDatasetReads:
         assert opened == ["truth.cfld", "probe.cfld"] + [f"yn_{j:04d}.cfld" for j in range(9)]
 
 
+def summary_and_printed(tmp_path, dataset, name, capsys):
+    """Reconstruct ``dataset`` with solver ``name``; return the summary's
+    final NRMSE and the one ``evaluate`` prints for the reconstruction."""
+    solver = dict(SOLVER_SECTION, name=name, iterations=20)
+    cfg = write_config(tmp_path / "c.yaml", solver=solver)
+    out = tmp_path / "run"
+    assert main(
+        ["reconstruct", "--config", cfg, "--dataset", str(dataset),
+         "--out", str(out), "--workers", "1"]
+    ) == 0
+    capsys.readouterr()
+    assert main(
+        ["evaluate", "--recon", str(out / "recon.cfld"), "--dataset", str(dataset)]
+    ) == 0
+    printed = float(capsys.readouterr().out)
+    return json.loads((out / "summary.json").read_text())["final_nrmse"], printed
+
+
 class TestEvaluate:
     def test_truth_against_itself(self, dataset_dir, capsys):
         assert main(
@@ -614,21 +632,23 @@ class TestEvaluate:
         assert main(["evaluate", "--recon", str(rotated), "--dataset", str(dataset_dir)]) == 0
         assert float(capsys.readouterr().out) < 1e-12
 
-    def test_matches_run_summary_exactly(self, tmp_path, dataset_dir, capsys):
-        solver = dict(SOLVER_SECTION, iterations=20)
-        cfg = write_config(tmp_path / "c.yaml", solver=solver)
-        out = tmp_path / "run"
-        assert main(
-            ["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
-             "--out", str(out), "--workers", "1"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["evaluate", "--recon", str(out / "recon.cfld"), "--dataset", str(dataset_dir)]
-        ) == 0
-        printed = float(capsys.readouterr().out)
-        summary = json.loads((out / "summary.json").read_text())
-        assert printed == summary["final_nrmse"]
+    @pytest.mark.parametrize("name", ["pmace", "sharp", "sharp_plus"])
+    def test_matches_run_summary_exactly(self, tmp_path, dataset_dir, capsys, name):
+        final, printed = summary_and_printed(tmp_path, dataset_dir, name, capsys)
+        assert printed == final
+
+    def test_matches_run_summary_where_the_probe_squared_underflows(
+        self, tmp_path, dataset_dir, capsys
+    ):
+        # SHARP's |d|^2 coverage reads 0 on pixels lit only by the faint
+        # pixels; both NRMSEs must still count them
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        probe = pk.read_cfld(data / "probe.cfld")
+        probe[probe == 0] = 1e-170
+        pk.write_cfld(data / "probe.cfld", probe)
+        final, printed = summary_and_printed(tmp_path, data, "sharp", capsys)
+        assert printed == final
 
     def test_shape_mismatch_exits_2(self, tmp_path, dataset_dir):
         small_field = tmp_path / "wrong.cfld"

@@ -297,6 +297,14 @@ class TestCoverage:
         out = np.multiply(np.full((2, 2), 6.0 + 0j), inverse)
         np.testing.assert_array_equal(out, [[0, 6], [3, 0]])
 
+    def test_coupling_inverse_is_zero_where_the_coverage_is_subnormal(self):
+        # 1e-250^1.25 is subnormal and its reciprocal overflows to inf
+        probe = np.array([[0, 1], [1e-250, 0]], dtype=complex)
+        grid = ScanGrid(offsets=((0, 0),), patch_size=2, image_shape=(2, 2))
+        coupling = pmace_coupling(probe, grid, 1.25)
+        assert 0 < coupling.coverage[1, 0] < np.finfo(np.float64).smallest_normal
+        assert coupling.inverse.tobytes() == np.array([[0.0, 1.0], [0.0, 0.0]]).tobytes()
+
 
 class TestCfldFormat:
     def test_round_trip_exact(self, tmp_path):

@@ -134,7 +134,7 @@ DESK_NRMSE_SCRIPT = """
 import numpy as np
 import ptychokit as pk
 grid = pk.make_scan_grid((176, 176), 64, (8, 8), 14)
-mask = pk.build_coverage(pk.synth_probe(64, 11), grid, 1.25) > 0
+mask = pk.build_coverage(pk.synth_probe(64, 11), grid, 0) > 0
 rng = np.random.default_rng(5)
 r = rng.standard_normal((4, 176, 176))
 x = r[0] + 1j * r[1]

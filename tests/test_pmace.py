@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptychokit as pk
 from ptychokit.fields import (
@@ -189,6 +191,18 @@ class TestMannIterate:
         )
         assert max(err for _, err, _ in rows) < 1e-10
 
+    def test_faint_probe_pixels_with_subnormal_weights_solve(self, small):
+        # 1e-250^1.25 is subnormal, so the coverage is too on pixels only the
+        # faint pixels light; its reciprocal would be inf and the image NaN
+        probe = small["probe"].copy()
+        probe[probe == 0] = 1e-250
+        params = PmaceParams(alpha=0.1, kappa=1.25, max_iters=3)
+        recon, rows = pk.mann_iterate(
+            small["y"], probe, small["grid"], params,
+            init=np.ones(small["truth"].shape, complex), trace_target=small["truth"],
+        )
+        assert np.isfinite(recon).all() and np.isfinite(rows[-1][1])
+
     def test_rho_changes_path_but_not_solution(self, desk):
         # long runs at different Mann weights land on the same image
         recons = {}
@@ -356,3 +370,39 @@ class TestPmaceParams:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PmaceParams(**kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([("pmace", 0.5), ("pmace", 1.25), ("pmace", 3.0),
+                     ("sharp", None), ("sharp_plus", None)]),
+    st.sampled_from([8, 12, 16]),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.floats(0.25, 1.0),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.floats(-300, -163),
+)
+def test_trace_nrmse_is_taken_over_the_pixels_the_probe_lights(
+    solver, n_p, dims, step, margin, iters, dark_exponent
+):
+    # the dark pixels get a faint amplitude whose |d|^kappa underflows to 0
+    # at SHARP's kappa = 2 and at kappa = 3 (at 1.25 below about 1e-259), so
+    # a region read from a coupling's coverage would drop pixels the scan lights
+    name, kappa = solver
+    spacing = max(1, round(step * n_p))
+    shape = tuple((k - 1) * spacing + n_p + margin for k in dims)
+    grid = pk.make_scan_grid(shape, n_p, dims, spacing)
+    truth = pk.synth_object(shape, 3)
+    probe = pk.synth_probe(n_p, 5)
+    probe[probe == 0] = 10.0**dark_exponent
+    y = pk.forward_amplitude(truth, probe, grid)
+    init = np.ones(shape, dtype=np.complex128)
+    if name == "pmace":
+        params = PmaceParams(alpha=0.1, kappa=kappa, max_iters=iters)
+        recon, rows = pk.mann_iterate(y, probe, grid, params, init, trace_target=truth)
+    else:
+        params = pk.SharpParams(beta=0.45, max_iters=iters, variant=name)
+        recon, rows = pk.sharp_iterate(y, probe, grid, params, init, trace_target=truth)
+    lit = build_coverage(probe, grid, 0) > 0
+    assert rows[-1][1] == pk.nrmse_phase_aligned(recon, truth, lit)
