@@ -29,7 +29,6 @@ from . import pmace, sharp, sim
 from .fields import NumericalFailure, build_coverage, read_cfld, write_cfld
 from .metrics import nrmse_phase_aligned, write_trace_csv
 
-SWEEP_PARAMS = ("alpha", "beta", "kappa", "rho")
 WORKERS_HELP = "threads across frames (default: CPU count); results do not depend on it"
 
 EXIT_OK = 0
@@ -57,13 +56,13 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _read(cfg: dict, section: str, keys: dict, others=()) -> dict:
+def _read(cfg: dict, section: str, keys: dict) -> dict:
     """``cfg[section]`` cast by :func:`_cast` through ``keys``, a ``{key: (cast, default)}``
-    table (a None default makes a key required); a key not in ``keys`` or ``others`` exits 2."""
+    table (a None default makes a key required); a key not in ``keys`` exits 2."""
     sec = cfg.get(section)
     if not isinstance(sec, dict):
         raise ConfigError(f"config is missing a '{section}' section")
-    unread = [key for key in sec if key not in keys and key not in others]
+    unread = [key for key in sec if key not in keys]
     if unread:
         raise ConfigError(f"config key '{section}.{unread[0]}' is not read by any command")
     for key, (cast, default) in keys.items():
@@ -129,27 +128,27 @@ def _cast(value, key: str, cast):
         raise ConfigError(f"config key '{key}' has invalid value {value!r}{allowed}") from exc
 
 
-# The solver section: the run settings, then each solver's parameters as their defaults' types.
+# The solver section: the run settings, then both solvers' parameter fields as their defaults'
+# types (a shared field has one default); max_iters is read as iterations, variant is name.
 RUN_KEYS = {"name": (("pmace", *sharp.VARIANTS), None), "data": (("clean", "noisy"), "clean"),
             "init": (("ones", "random"), "ones"), "init_seed": (int, 0)}
-PARAM_KEYS = {  # max_iters is read as iterations, and variant is solver.name
-    cls: {("iterations" if f.name == "max_iters" else f.name): (type(f.default), f.default)
-          for f in dataclasses.fields(cls) if f.name != "variant"}
-    for cls in (pmace.PmaceParams, sharp.SharpParams)}
+SOLVER_KEYS = dict(RUN_KEYS, **{
+    ("iterations" if f.name == "max_iters" else f.name): (type(f.default), f.default)
+    for cls in (pmace.PmaceParams, sharp.SharpParams) for f in dataclasses.fields(cls)
+    if f.name != "variant"})
+SWEEP_PARAMS = sorted(key for key, (cast, _) in SOLVER_KEYS.items() if cast is float)
 
 
 def read_solver(cfg: dict):
-    """The solver section as (params, solve, settings): ``settings`` holds RUN_KEYS, ``params``
-    the PmaceParams or SharpParams of the solver ``name`` names (the other solver's keys are
-    allowed), and ``solve`` that solver's iteration, looked up on its module now, so that a
-    wrapper installed there beforehand applies."""
-    every_param = [key for keys in PARAM_KEYS.values() for key in keys]
-    settings = _read(cfg, "solver", RUN_KEYS, every_param)
-    params, solve = ((pmace.PmaceParams(), pmace.mann_iterate) if settings["name"] == "pmace"
-                     else (sharp.SharpParams(variant=settings["name"]), sharp.sharp_iterate))
-    given = _read(cfg, "solver", PARAM_KEYS[type(params)], [*RUN_KEYS, *every_param])
-    given["max_iters"] = given.pop("iterations")
-    return dataclasses.replace(params, **given), solve, settings
+    """The solver section as (params, solve, settings): RUN_KEYS in ``settings``, the params of
+    the solver ``name`` names (the other's keys are checked, then unused) and its iteration
+    ``solve``, looked up on its module now, so that a wrapper installed there beforehand applies."""
+    c = _read(cfg, "solver", SOLVER_KEYS)
+    c.update(max_iters=c.pop("iterations"), variant=c["name"])
+    cls, solve = ((pmace.PmaceParams, pmace.mann_iterate) if c["name"] == "pmace"
+                  else (sharp.SharpParams, sharp.sharp_iterate))
+    params = cls(**{f.name: c[f.name] for f in dataclasses.fields(cls)})
+    return params, solve, {key: c[key] for key in RUN_KEYS}
 
 
 def _write_json(path, obj) -> None:

@@ -39,8 +39,11 @@ class NumericalFailure(RuntimeError):
 def _orthonormal_dft2(f: np.ndarray, inverse: bool, out: np.ndarray | None) -> np.ndarray:
     """The unitary 2D DFT as two NumPy 1D passes, each scaled by 1/sqrt(n).
 
-    Axis -2 goes first: on C-ordered stacks this order is faster than
-    ``np.fft.fft2``'s, which transforms the last axis first.
+    Not for speed: into a caller's buffer ``np.fft.fft2`` takes as long.
+    The two passes are kept for two reasons. They fix the axis order (-2
+    first), and ``np.fft.fft2``, which runs the last axis first, gives other
+    bits. And ``out`` may be ``f``: NumPy 2.4's ``np.fft.ifft2(f, out=f)``
+    returns a new array and leaves ``f`` as it was.
     """
     if out is None:
         out = np.empty(f.shape, np.complex128)

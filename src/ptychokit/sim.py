@@ -17,6 +17,7 @@ import numpy as np
 
 from .fields import (
     ScanGrid,
+    build_coverage,
     extract_stack,
     fft2_orthonormal,
     frame_blocks,
@@ -42,9 +43,12 @@ def make_scan_grid(
 
     :param image_shape: (N1, N2) image dimensions.
     :param probe_size: patch side length N_p.
-    :param grid_dims: (rows, cols) of probe positions.
+    :param grid_dims: (rows, cols) of probe positions, each at least 1.
     :param spacing: pixel step between adjacent positions (0 only for one position).
     """
+    if min(grid_dims) < 1:
+        raise ValueError(f"grid_dims must hold at least one position in each direction; got "
+                         f"{grid_dims[0]}x{grid_dims[1]}")
     if spacing < 0 or (spacing == 0 and grid_dims[0] * grid_dims[1] > 1):
         raise ValueError(f"spacing must be positive, or 0 for a single position; got "
                          f"{spacing} for a {grid_dims[0]}x{grid_dims[1]} grid")
@@ -316,8 +320,9 @@ _MANIFEST_KEYS = {
 
 def load_dataset(path) -> Dataset:
     """Load a dataset directory written by :func:`write_dataset`: check its
-    manifest, then read and check the truth and probe. The amplitude files
-    are read by :meth:`Dataset.amplitudes`."""
+    manifest, then read and check the truth and probe, build the grid, and
+    refuse a truth that is zero on every pixel a nonzero probe lights. The
+    amplitude files are read by :meth:`Dataset.amplitudes`."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     with open(manifest_path) as fh:
@@ -348,4 +353,8 @@ def load_dataset(path) -> Dataset:
         grid = make_scan_grid(truth.shape, n, tuple(manifest["grid_dims"]), manifest["spacing"])
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from exc
+    # the region every NRMSE is over; an all-dark probe is left to the solvers' own check
+    if probe.any() and not truth[build_coverage(probe, grid, 0) > 0].any():
+        raise ValueError(f"{root / TRUTH_NAME}: zero on every pixel the probe lights, so it "
+                         "cannot be the NRMSE reference")
     return Dataset(root, truth, probe, grid, manifest["noise"], float(manifest["scale_factor"]))

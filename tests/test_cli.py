@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ptychokit as pk
-from ptychokit.cli import main
+from ptychokit.cli import main, read_solver
 from ptychokit.metrics import read_trace_csv
 from ptychokit.sim import POISSON_LAM_MAX
 
@@ -138,12 +138,12 @@ def dataset_dir(tmp_path_factory):
     return out
 
 
-def manifest_with_spacing(tmp_path, dataset_dir, spacing):
-    """A copy of the dataset whose manifest holds ``spacing``; return its path."""
+def manifest_with(tmp_path, dataset_dir, **changes):
+    """A copy of the dataset whose manifest holds ``changes``; return its path."""
     data = tmp_path / "ds"
     shutil.copytree(dataset_dir, data)
     manifest = json.loads((data / "manifest.json").read_text())
-    (data / "manifest.json").write_text(json.dumps(dict(manifest, spacing=spacing)))
+    (data / "manifest.json").write_text(json.dumps(dict(manifest, **changes)))
     return data
 
 
@@ -326,6 +326,13 @@ class TestReconstruct:
         own = dict(own, iterations=5, data="noisy")
         assert artifacts("both", dict(own, **others)) == artifacts("own", own)
 
+    @pytest.mark.parametrize("name, params", [
+        ("pmace", pk.PmaceParams()), ("sharp", pk.SharpParams(variant="sharp")),
+        ("sharp_plus", pk.SharpParams(variant="sharp_plus")),
+    ])
+    def test_unset_solver_keys_take_the_named_solvers_defaults(self, name, params):
+        assert read_solver({"solver": {"name": name}})[0] == params
+
     def test_unknown_solver_exits_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, {"name": "awf"})
         assert code == 2
@@ -454,6 +461,20 @@ class TestDatasetFiles:
         code, err, path = run_on_changed_file(tmp_path, dataset_dir, name, change, command)
         assert code == 2
         assert err == f"error: {path}: values must be finite\n"
+
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate"])
+    def test_truth_zero_where_the_probe_lights_exits_2_naming_it(self, tmp_path, dataset_dir,
+                                                                 command):
+        # the 3x3 grid of 16-pixel patches at spacing 8 lights only rows and columns 8 to 39,
+        # so the truth stays nonzero on the unlit border
+        def change(a):
+            a[8:40, 8:40] = 0
+            return a
+
+        code, err, path = run_on_changed_file(tmp_path, dataset_dir, "truth.cfld", change,
+                                              command)
+        assert (code, err) == (2, f"error: {path}: zero on every pixel the probe lights, so "
+                                  "it cannot be the NRMSE reference\n")
 
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -589,6 +610,20 @@ class TestDatasetReads:
         assert opened == []
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name, key, value", [("pmace", "beta", [1]),
+                                                  ("sharp", "alpha", "abc")])
+    def test_other_solvers_bad_key_exits_2_before_any_dataset_read(
+        self, tmp_path, dataset_dir, opened, name, key, value
+    ):
+        solver = dict(SOLVER_SECTION, name=name, data="noisy", iterations=3, **{key: value})
+        cfg = write_config(tmp_path / "c.yaml", solver=solver)
+        code, err = main_quietly(["reconstruct", "--config", cfg, "--dataset", str(dataset_dir),
+                                  "--out", str(tmp_path / "run"), "--workers", "1"])
+        assert (code, err) == (2, f"error: config key 'solver.{key}' has invalid value "
+                                  f"{value!r}\n")
+        assert opened == []
+        assert not (tmp_path / "run").exists()
+
     def test_sweep_reads_its_stack_once_for_all_runs(self, tmp_path, dataset_dir, opened):
         solver = dict(SOLVER_SECTION, data="noisy", iterations=2)
         cfg = write_config(tmp_path / "c.yaml", solver=solver)
@@ -667,6 +702,13 @@ class TestEvaluate:
         assert main(["evaluate", "--recon", str(recon), "--dataset", str(dataset_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {recon}: ") and err.count("\n") == 1
+
+    def test_unsupported_cfld_version_exits_2(self, tmp_path, dataset_dir, capsys):
+        recon = tmp_path / "recon.cfld"
+        raw = (dataset_dir / "truth.cfld").read_bytes()
+        recon.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        assert main(["evaluate", "--recon", str(recon), "--dataset", str(dataset_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {recon}: unsupported CFLD version 2\n"
 
     def test_missing_recon_exits_2(self, tmp_path, dataset_dir):
         assert main(
@@ -848,6 +890,13 @@ class TestSweep:
         assert ((out / "alpha_0.3" / "recon.cfld").read_bytes()
                 == (tmp_path / "run" / "recon.cfld").read_bytes())
 
+    def test_unparseable_values_exit_2(self, tmp_path, dataset_dir, capsys):
+        code, out = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", "abc"])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: cannot parse --values: could not convert "
+                                           "string to float: 'abc'\n")
+        assert not out.exists()
+
     def test_empty_values_exit_2(self, tmp_path, dataset_dir):
         code, _ = self.run(tmp_path, dataset_dir, ["--param", "alpha", "--values", ""])
         assert code == 2
@@ -885,6 +934,18 @@ class TestConfigErrors:
             ["reconstruct", "--config", str(tmp_path / "none.yaml"),
              "--dataset", str(dataset_dir), "--out", str(tmp_path / "o")]
         ) == 2
+
+    @pytest.mark.parametrize("command, section", [("simulate", "sim"),
+                                                  ("reconstruct", "solver")])
+    def test_missing_section_exits_2(self, tmp_path, dataset_dir, capsys, command, section):
+        other = {"sim": {"solver": dict(SOLVER_SECTION)}, "solver": {"sim": dict(SIM_SECTION)}}
+        cfg = write_config(tmp_path / "c.yaml", **other[section])
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "1"]
+        if command == "reconstruct":
+            argv += ["--dataset", str(dataset_dir)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: config is missing a '{section}' section\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_required_sim_key_exits_2(self, tmp_path):
         sim = {k: v for k, v in SIM_SECTION.items() if k != "image_shape"}
@@ -940,7 +1001,7 @@ class TestConfigErrors:
             argv = ["simulate", "--config", cfg]
             prefix = "error: spacing "
         else:
-            data = manifest_with_spacing(tmp_path, dataset_dir, 0)
+            data = manifest_with(tmp_path, dataset_dir, spacing=0)
             cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
             argv = ["reconstruct", "--config", cfg, "--dataset", str(data)]
             prefix = f"error: {data / 'manifest.json'}: spacing "
@@ -949,10 +1010,28 @@ class TestConfigErrors:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_empty_grid_exits_2_naming_grid_dims(self, tmp_path, dataset_dir, capsys,
+                                                 monkeypatch, source):
+        if source == "config":
+            monkeypatch.setattr(pk.sim, "synth_probe", no_work)
+            cfg = write_config(tmp_path / "c.yaml", sim=dict(SIM_SECTION, grid_dims=[0, 3]))
+            argv = ["simulate", "--config", cfg]
+            prefix = "error: "
+        else:
+            data = manifest_with(tmp_path, dataset_dir, grid_dims=[0, 3])
+            cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
+            argv = ["reconstruct", "--config", cfg, "--dataset", str(data)]
+            prefix = f"error: {data / 'manifest.json'}: "
+        assert main([*argv, "--out", str(tmp_path / "o"), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == (f"{prefix}grid_dims must hold at least one position "
+                                           "in each direction; got 0x3\n")
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_spacing_past_the_image_names_the_manifest(
         self, tmp_path, dataset_dir, capsys
     ):
-        data = manifest_with_spacing(tmp_path, dataset_dir, 40)
+        data = manifest_with(tmp_path, dataset_dir, spacing=40)
         cfg = write_config(tmp_path / "c.yaml", solver=dict(SOLVER_SECTION))
         argv = ["reconstruct", "--config", cfg, "--dataset", str(data), "--out",
                 str(tmp_path / "o")]

@@ -95,6 +95,13 @@ class TestScanGridGeometry:
         with pytest.raises(ValueError, match=f"^spacing must be positive, .* got {spacing} "):
             pk.make_scan_grid((48, 48), 16, grid_dims, spacing)
 
+    @pytest.mark.parametrize("grid_dims", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_grid_refused_naming_grid_dims(self, monkeypatch, grid_dims):
+        monkeypatch.setattr(pk.sim, "ScanGrid", lambda *args, **kwargs: pytest.fail("built"))
+        with pytest.raises(ValueError, match="^grid_dims must hold at least one position in "
+                                             f"each direction; got {grid_dims[0]}x{grid_dims[1]}$"):
+            pk.make_scan_grid((48, 48), 16, grid_dims, 8)
+
     def test_single_position_keeps_zero_spacing(self):
         assert pk.make_scan_grid((48, 48), 16, (1, 1), 0).offsets == ((16, 16),)
 
@@ -474,6 +481,23 @@ class TestDatasetIo:
         (out / MANIFEST_NAME).write_bytes(raw[:5] + b"\xff" + raw[6:])
         with pytest.raises(ValueError, match="manifest.json: not valid JSON: 'utf-8' codec"):
             pk.load_dataset(out)
+
+    @pytest.mark.parametrize("keep_one_lit_pixel", [True, False])
+    def test_truth_zero_on_every_lit_pixel_rejected(self, tmp_path, small, keep_one_lit_pixel):
+        # the truth stays nonzero off the lit region; one lit pixel is enough for the NRMSE
+        out, _ = self._write(tmp_path, small, with_noise=False)
+        lit = pk.build_coverage(small["probe"], small["grid"], 0) > 0
+        truth = small["truth"].copy()
+        truth[lit] = 0
+        if keep_one_lit_pixel:
+            truth[tuple(np.argwhere(lit)[-1])] = 1
+        pk.write_cfld(out / TRUTH_NAME, truth)
+        if keep_one_lit_pixel:
+            np.testing.assert_array_equal(pk.load_dataset(out).truth, truth)
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{out / TRUTH_NAME}: zero on every pixel the probe lights")):
+                pk.load_dataset(out)
 
     def test_probe_shape_checked_against_manifest(self, tmp_path, small):
         out, _ = self._write(tmp_path, small, with_noise=False)
