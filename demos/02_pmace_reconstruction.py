@@ -48,6 +48,6 @@ recons = {}
 for rho in (0.3, 0.7):
     params = PmaceParams(alpha=0.1, rho=rho, kappa=1.25, max_iters=300)
     recons[rho], _ = pk.mann_iterate(y, probe, grid, params, init=ones)
-gap = pk.nrmse_phase_aligned(recons[0.3], recons[0.7], mask)
+gap = pk.nrmse_phase_aligned(recons[0.3][mask], recons[0.7][mask])
 print(f"\nrho=0.3 vs rho=0.7 after 300 iterations: "
       f"reconstructions differ by NRMSE {gap:.2e}")

@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import pmace, sharp, sim
-from .fields import NumericalFailure, build_coverage, read_cfld, write_cfld
+from .fields import NumericalFailure, read_cfld, write_cfld
 from .metrics import nrmse_phase_aligned, write_trace_csv
 
 WORKERS_HELP = "threads across frames (default: CPU count); results do not depend on it"
@@ -222,12 +222,9 @@ def cmd_evaluate(recon_path, dataset_path) -> int:
     dataset = sim.load_dataset(dataset_path)
     recon = read_cfld(recon_path)
     if recon.shape != dataset.truth.shape:
-        raise ConfigError(
-            f"reconstruction shape {recon.shape} does not match "
-            f"ground truth {dataset.truth.shape}"
-        )
-    covered = build_coverage(dataset.probe, dataset.grid, 0) > 0
-    err = nrmse_phase_aligned(recon, dataset.truth, covered)
+        raise ConfigError(f"{recon_path}: shape {list(recon.shape)} does not match the "
+                          f"dataset's truth {list(dataset.truth.shape)}")
+    err = nrmse_phase_aligned(recon[dataset.lit], dataset.truth[dataset.lit])
     print(f"{err!r}")
     return EXIT_OK
 

@@ -10,33 +10,26 @@ import numpy as np
 TRACE_HEADER = ("iter", "nrmse", "seconds")
 
 
-def nrmse_phase_aligned(
-    xhat: np.ndarray, x: np.ndarray, mask: np.ndarray | None = None
-) -> float:
-    """min over theta of ||xhat - e^{i theta} x|| / ||x|| on masked pixels.
+def nrmse_phase_aligned(xhat: np.ndarray, x: np.ndarray) -> float:
+    """min over theta of ||xhat - e^{i theta} x|| / ||x|| over all pixels.
 
-    The minimizing global phase has the closed form
-    theta* = arg(sum xhat * conj(x)); when that sum is 0 every theta
-    attains the minimum and theta = 0 is used. The sums are NumPy einsum
-    reductions, which call no BLAS, so the result does not depend on the
-    BLAS thread count.
+    To take it over a region, pass the region's pixels, e.g.
+    ``nrmse_phase_aligned(xhat[lit], x[lit])``. The minimizing global phase
+    has the closed form theta* = arg(sum xhat * conj(x)); when that sum is 0
+    every theta attains the minimum and theta = 0 is used. The sums are NumPy
+    einsum reductions, which call no BLAS, so the result does not depend on
+    the BLAS thread count.
 
     :param xhat: reconstruction.
-    :param x: reference field, nonzero somewhere on the mask.
-    :param mask: boolean region to evaluate over; default: everywhere.
+    :param x: reference field of the same shape, nonzero somewhere.
     """
     if xhat.shape != x.shape:
         raise ValueError(f"shape mismatch: {xhat.shape} vs {x.shape}")
-    if mask is None:
-        xm = x.ravel()
-        xhm = xhat.ravel()
-    else:
-        xm = x[mask]
-        xhm = xhat[mask]
-    xm = np.ascontiguousarray(xm, dtype=np.complex128)
+    xhm = xhat.ravel()
+    xm = np.ascontiguousarray(x.ravel(), dtype=np.complex128)
     ref_sq = _sum_of_squares(xm)
     if ref_sq == 0:
-        raise ValueError("reference field is zero on the evaluation mask")
+        raise ValueError("reference field is zero")
     residual = np.conj(xm)
     cross = np.einsum("i,i", residual, xhm)
     theta = 0.0 if cross == 0 else np.angle(cross)

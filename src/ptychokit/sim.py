@@ -275,7 +275,9 @@ def write_dataset(
 @dataclass(frozen=True)
 class Dataset:
     """A dataset directory: manifest, truth and probe are read on load, and an
-    amplitude stack only when :meth:`amplitudes` is called."""
+    amplitude stack only when :meth:`amplitudes` is called. ``lit`` is the
+    region every NRMSE is over, ``build_coverage(probe, grid, 0) > 0``: the
+    pixels the scan lights."""
 
     root: Path
     truth: np.ndarray
@@ -283,6 +285,7 @@ class Dataset:
     grid: ScanGrid
     noise: bool
     scale_factor: float
+    lit: np.ndarray
 
     def amplitudes(self, noisy: bool) -> tuple[np.ndarray, float]:
         """(stack, descale): the (J, N_p, N_p) float64 clean or noisy stack, read
@@ -321,7 +324,7 @@ _MANIFEST_KEYS = {
 def load_dataset(path) -> Dataset:
     """Load a dataset directory written by :func:`write_dataset`: check its
     manifest, then read and check the truth and probe, build the grid, and
-    refuse a truth that is zero on every pixel a nonzero probe lights. The
+    refuse a truth that is zero on every pixel the probe lights. The
     amplitude files are read by :meth:`Dataset.amplitudes`."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -348,13 +351,16 @@ def load_dataset(path) -> Dataset:
     if probe.shape != (n, n):
         raise ValueError(f"{root / PROBE_NAME}: shape {list(probe.shape)} does not match "
                          f"manifest probe_size {n}")
+    if not probe.any():
+        raise ValueError(f"{root / PROBE_NAME}: zero everywhere, so it lights no pixel")
     # the grid comes after the files: their checked shapes bound its offsets
     try:
         grid = make_scan_grid(truth.shape, n, tuple(manifest["grid_dims"]), manifest["spacing"])
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from exc
-    # the region every NRMSE is over; an all-dark probe is left to the solvers' own check
-    if probe.any() and not truth[build_coverage(probe, grid, 0) > 0].any():
+    lit = build_coverage(probe, grid, 0) > 0
+    if not truth[lit].any():
         raise ValueError(f"{root / TRUTH_NAME}: zero on every pixel the probe lights, so it "
                          "cannot be the NRMSE reference")
-    return Dataset(root, truth, probe, grid, manifest["noise"], float(manifest["scale_factor"]))
+    return Dataset(root, truth, probe, grid, manifest["noise"], float(manifest["scale_factor"]),
+                   lit)

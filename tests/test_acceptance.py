@@ -274,14 +274,14 @@ def test_criterion_06_rho_invariance(tmp_path):
     ) == 0
 
     dataset = pk.load_dataset(ds)
-    mask = pk.build_coverage(dataset.probe, dataset.grid, 0) > 0
+    mask = dataset.lit
     rhos = (0.3, 0.5, 0.7)
     recons = {r: pk.read_cfld(out / f"rho_{r:g}" / "recon.cfld") for r in rhos}
     finals = {
         r: read_trace_csv(out / f"rho_{r:g}" / "trace.csv")[-1][1] for r in rhos
     }
     pair_gap = max(
-        pk.nrmse_phase_aligned(recons[a], recons[b], mask)
+        pk.nrmse_phase_aligned(recons[a][mask], recons[b][mask])
         for i, a in enumerate(rhos)
         for b in rhos[i + 1:]
     )

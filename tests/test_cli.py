@@ -385,7 +385,8 @@ class TestReconstruct:
         pk.write_cfld(data / "probe.cfld", np.zeros_like(probe))
         code, out = self.run(tmp_path, data)
         assert code == 2
-        assert capsys.readouterr().err == "error: probe is zero everywhere\n"
+        assert capsys.readouterr().err == (f"error: {data / 'probe.cfld'}: zero everywhere, "
+                                           "so it lights no pixel\n")
         assert not out.exists()
 
     def test_bad_init_mode_exits_2(self, tmp_path, dataset_dir):
@@ -685,12 +686,34 @@ class TestEvaluate:
         final, printed = summary_and_printed(tmp_path, data, "sharp", capsys)
         assert printed == final
 
-    def test_shape_mismatch_exits_2(self, tmp_path, dataset_dir):
+    def test_shape_mismatch_exits_2(self, tmp_path, dataset_dir, capsys):
         small_field = tmp_path / "wrong.cfld"
         pk.write_cfld(small_field, np.ones((8, 8), complex))
         assert main(
             ["evaluate", "--recon", str(small_field), "--dataset", str(dataset_dir)]
         ) == 2
+        assert capsys.readouterr().err == (f"error: {small_field}: shape [8, 8] does not match "
+                                           "the dataset's truth [48, 48]\n")
+
+    def test_zero_probe_exits_2_naming_it(self, tmp_path, dataset_dir):
+        code, err, path = run_on_changed_file(tmp_path, dataset_dir, "probe.cfld",
+                                              np.zeros_like, "evaluate")
+        assert (code, err) == (2, f"error: {path}: zero everywhere, so it lights no pixel\n")
+
+    def test_builds_the_lit_region_once(self, dataset_dir, monkeypatch):
+        # the dataset's lit region serves both its truth check and the NRMSE
+        kappas = []
+        original = pk.sim.build_coverage
+
+        def counting(probe, grid, kappa):
+            kappas.append(kappa)
+            return original(probe, grid, kappa)
+
+        monkeypatch.setattr(pk.sim, "build_coverage", counting)
+        monkeypatch.setattr(pk.cli, "build_coverage", counting, raising=False)
+        code, _ = main_quietly(["evaluate", "--recon", str(dataset_dir / "truth.cfld"),
+                                "--dataset", str(dataset_dir)])
+        assert (code, kappas) == (0, [0])
 
     @pytest.mark.parametrize("damage", ["huge_header", "trailing_bytes"])
     def test_file_size_not_matching_header_exits_2(self, tmp_path, dataset_dir, capsys, damage):

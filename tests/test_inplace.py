@@ -363,7 +363,7 @@ def test_traced_result_has_the_bits_of_the_final_stitch(solver, iters, eval_ever
     plain, _ = solve(y, probe, grid, params, init, descale=descale, workers=workers)
     assert traced.tobytes() == plain.tobytes()
     mask = pk.build_coverage(probe, grid, 0) > 0
-    assert rows[-1][1] == pk.nrmse_phase_aligned(plain, x, mask)
+    assert rows[-1][1] == pk.nrmse_phase_aligned(plain[mask], x[mask])
 
 
 def three_stack_solve(inst, params, iters):

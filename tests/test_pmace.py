@@ -212,7 +212,8 @@ class TestMannIterate:
                 desk["y"], desk["probe"], desk["grid"], params,
                 init=np.ones(desk["truth"].shape, complex),
             )
-        gap = pk.nrmse_phase_aligned(recons[0.3], recons[0.7], desk["mask"])
+        lit = desk["mask"]
+        gap = pk.nrmse_phase_aligned(recons[0.3][lit], recons[0.7][lit])
         assert gap < 1e-6
 
     def test_desk_scale_recovery_from_ones(self, desk):
@@ -334,14 +335,16 @@ class TestMannIterate:
             np.divide(z, az, out=out, where=az > 0)
             return out
 
+        lit = small["mask"]
+        target = small["truth"][lit]
         v = extract_stack(init, grid)
-        errs = [pk.nrmse_phase_aligned(stitch(v) / 1.5, small["truth"], small["mask"])]
+        errs = [pk.nrmse_phase_aligned((stitch(v) / 1.5)[lit], target)]
         for _ in range(params.max_iters):
             fx = fft2_orthonormal(d * v)
             w = (alpha * v + dinv * ifft2_orthonormal(y * phase(fx))) / (1 + alpha)
             z = extract_stack(stitch(2 * w - v), grid)
             v = (v - 2 * rho * w) + 2 * rho * z
-            errs.append(pk.nrmse_phase_aligned(stitch(v) / 1.5, small["truth"], small["mask"]))
+            errs.append(pk.nrmse_phase_aligned((stitch(v) / 1.5)[lit], target))
         np.testing.assert_array_equal(recon, stitch(v) / 1.5)
         assert [err for _, err, _ in rows] == errs
 
@@ -405,4 +408,4 @@ def test_trace_nrmse_is_taken_over_the_pixels_the_probe_lights(
         params = pk.SharpParams(beta=0.45, max_iters=iters, variant=name)
         recon, rows = pk.sharp_iterate(y, probe, grid, params, init, trace_target=truth)
     lit = build_coverage(probe, grid, 0) > 0
-    assert rows[-1][1] == pk.nrmse_phase_aligned(recon, truth, lit)
+    assert rows[-1][1] == pk.nrmse_phase_aligned(recon[lit], truth[lit])

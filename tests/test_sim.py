@@ -398,6 +398,7 @@ class TestDatasetIo:
         np.testing.assert_array_equal(stack, noisy.stack)
         assert descale == ds.scale_factor == noisy.scale_factor
         assert ds.grid.offsets == small["grid"].offsets
+        np.testing.assert_array_equal(ds.lit, small["mask"])
 
     def test_noise_free_dataset_has_no_noisy_files(self, tmp_path, small):
         out, _ = self._write(tmp_path, small, with_noise=False)
